@@ -1,4 +1,6 @@
-//! Shared configuration for the OPERA benchmark harness.
+//! Shared configuration for the OPERA benchmark harness: the Table 1 engine
+//! preset ([`table1_config`]), the paper's one-shot cost accounting
+//! ([`one_shot_report`]), the environment knobs and the report formatting.
 //!
 //! The report binaries (`table1_report`, `figure12_report`,
 //! `experiments_report`) regenerate the paper's tables and figures, and
@@ -22,8 +24,10 @@
 //! so the same binaries can run as quick smoke tests or as the full
 //! (hours-long) paper-scale reproduction.
 
-use opera::analysis::ExperimentConfig;
-use opera::Parallelism;
+use opera::engine::{EngineBuilder, ExperimentReport, OperaEngine, Scenario};
+use opera::solver::BLOCK_JACOBI_CG;
+use opera::{OperaError, Parallelism};
+use opera_grid::GridSpec;
 
 pub mod json;
 pub mod perf;
@@ -98,7 +102,12 @@ pub fn collocation_max_order_from_env() -> u32 {
         .unwrap_or(DEFAULT_COLLOCATION_MAX_ORDER)
 }
 
-/// The experiment configuration for one (possibly scaled) Table 1 row.
+/// The engine builder for one (possibly scaled) Table 1 row: the paper's
+/// grid `row` with its node count scaled by `scale`, the block-Jacobi CG
+/// backend, `mc_samples` Monte Carlo samples seeded with `42 + row`, and
+/// `parallelism`. Every other setting is the builder default (order-2
+/// expansion, 0.05 ns backward-Euler steps over the grid's waveform, 30
+/// histogram bins).
 ///
 /// Pass [`parallelism_from_env`] to honour the `OPERA_BENCH_THREADS`
 /// setting; the environment is deliberately not read here so the function's
@@ -106,22 +115,36 @@ pub fn collocation_max_order_from_env() -> u32 {
 ///
 /// # Errors
 ///
-/// Returns [`opera::OperaError::InvalidOptions`] for rows outside the
-/// paper's seven grids.
+/// Returns [`OperaError::Grid`] for rows outside the paper's seven grids
+/// and propagates grid-generation errors.
 pub fn table1_config(
     row: usize,
     scale: f64,
     mc_samples: usize,
     parallelism: Parallelism,
-) -> Result<ExperimentConfig, opera::OperaError> {
-    let config = if (scale - 1.0).abs() < f64::EPSILON {
-        let mut config = ExperimentConfig::table1_row(row)?;
-        config.mc_samples = mc_samples;
-        config
-    } else {
-        ExperimentConfig::table1_row_scaled(row, scale, mc_samples)?
-    };
-    Ok(config.with_parallelism(parallelism))
+) -> Result<EngineBuilder, OperaError> {
+    Ok(
+        OperaEngine::for_grid(GridSpec::paper_grid(row)?.scaled_nodes(scale))?
+            .solver_name(BLOCK_JACOBI_CG)?
+            .mc_samples(mc_samples)
+            .mc_seed(42 + row as u64)
+            .parallelism(parallelism),
+    )
+}
+
+/// Runs the engine's baseline scenario as one one-shot analysis: the
+/// engine's setup (assembly and factorisation) is billed to
+/// `opera_seconds` and the speed-up, the paper's accounting for a single
+/// Table 1 analysis.
+///
+/// # Errors
+///
+/// Propagates solver and sampling errors.
+pub fn one_shot_report(engine: &OperaEngine) -> Result<ExperimentReport, OperaError> {
+    let mut report = engine.run_scenario(&Scenario::default())?.report;
+    report.opera_seconds += engine.setup_seconds();
+    report.speedup = report.monte_carlo_seconds / report.opera_seconds;
+    Ok(report)
 }
 
 /// Formats the header of the Table 1 reproduction.
@@ -141,7 +164,7 @@ pub fn table1_header() -> String {
 }
 
 /// Formats one row of the Table 1 reproduction from an experiment report.
-pub fn table1_row_line(report: &opera::analysis::ExperimentReport) -> String {
+pub fn table1_row_line(report: &ExperimentReport) -> String {
     format!(
         "{:>9} | {:>11.4} {:>11.4} | {:>11.2} {:>11.2} | {:>9.1} | {:>10.2} {:>10.2} | {:>8.0}",
         report.node_count,
@@ -226,13 +249,17 @@ mod tests {
 
     #[test]
     fn table1_config_honours_scale() {
-        let scaled = table1_config(0, 0.1, 50, Parallelism::Serial).unwrap();
-        assert_eq!(scaled.parallelism, Parallelism::Serial);
-        assert_eq!(scaled.mc_samples, 50);
-        assert!(scaled.grid_spec.target_nodes < 3_000);
-        let full = table1_config(0, 1.0, 1000, Parallelism::Max).unwrap();
-        assert_eq!(full.grid_spec.target_nodes, 19_181);
-        assert!(table1_config(9, 0.1, 50, Parallelism::Max).is_err());
+        let engine = table1_config(0, 0.02, 50, Parallelism::Serial)
+            .unwrap()
+            .build()
+            .unwrap();
+        assert!(engine.node_count() < 500, "{} nodes", engine.node_count());
+        assert_eq!(engine.solver().name(), BLOCK_JACOBI_CG);
+        assert_eq!(engine.basis_size(), 6, "order-2 expansion in two variables");
+        assert!(matches!(
+            table1_config(7, 0.1, 50, Parallelism::Max),
+            Err(OperaError::Grid(_))
+        ));
     }
 
     #[test]

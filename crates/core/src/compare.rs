@@ -94,8 +94,8 @@ pub fn compare(opera: &StochasticSolution, mc: &MonteCarloResult, vdd: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::builder_for;
     use crate::monte_carlo::{run, MonteCarloOptions};
-    use crate::stochastic::{solve, OperaOptions};
     use crate::transient::TransientOptions;
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -106,7 +106,11 @@ mod tests {
         let model =
             StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let opera = builder_for(&model, 2, topts)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let mc = run(&model, &MonteCarloOptions::new(300, 7, topts)).unwrap();
         let summary = compare(&opera, &mc, grid.vdd());
         // The paper reports µ errors of hundredths of a percent and σ errors
@@ -133,7 +137,11 @@ mod tests {
         let model =
             StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
         let topts = TransientOptions::new(0.25e-9, 0.5e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let opera = builder_for(&model, 2, topts)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let times = opera.times().to_vec();
         let mean: Vec<Vec<f64>> = (0..times.len())
             .map(|k| {
@@ -168,11 +176,11 @@ mod tests {
         let grid = GridSpec::small_test(60).build().unwrap();
         let model =
             StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let opera = solve(
-            &model,
-            &OperaOptions::order2(TransientOptions::new(0.25e-9, 0.5e-9)),
-        )
-        .unwrap();
+        let opera = builder_for(&model, 2, TransientOptions::new(0.25e-9, 0.5e-9))
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let mc = MonteCarloResult {
             times: vec![0.0],
             mean: vec![vec![0.0; 3]],

@@ -49,12 +49,11 @@ use opera_variation::{StochasticGridModel, VariationSpec};
 use rayon::prelude::*;
 
 use crate::adaptive::{AdaptiveOptions, AdaptiveStats};
-use crate::analysis::{probe_distributions, ExperimentConfig, ExperimentReport};
-use crate::compare::compare;
+use crate::compare::{compare, AccuracySummary};
 use crate::galerkin::GalerkinSystem;
 use crate::monte_carlo::{run as run_monte_carlo, MonteCarloOptions, MonteCarloResult};
 use crate::parallel::Parallelism;
-use crate::response::drop_summary;
+use crate::response::{drop_summary, probe_distributions, DropSummary, ProbeDistribution};
 use crate::solver::{backend_by_name, DirectCholesky, PreparedSolver, SolverBackend};
 use crate::stochastic::{
     run_prepared, run_prepared_adaptive, run_prepared_panel, StochasticSolution,
@@ -160,6 +159,31 @@ pub struct ScenarioReport {
     /// solve only — the engine's one-time setup is amortised across the batch
     /// and reported by [`OperaEngine::setup_seconds`].
     pub report: ExperimentReport,
+}
+
+/// Everything produced by one OPERA-vs-Monte-Carlo run: one row of Table 1
+/// plus the data of Figures 1–2.
+#[derive(Debug, Clone)]
+pub struct ExperimentReport {
+    /// Number of nodes of the generated grid.
+    pub node_count: usize,
+    /// Voltage-drop statistics of the OPERA solution.
+    pub opera: DropSummary,
+    /// OPERA-vs-Monte-Carlo accuracy (the µ and σ error columns).
+    pub errors: AccuracySummary,
+    /// Wall-clock seconds of the stochastic solve (the Galerkin solve, or the
+    /// sweep of a collocation scenario). The engine's one-time setup is not
+    /// included; the paper's accounting of a single one-shot analysis adds
+    /// [`OperaEngine::setup_seconds`].
+    pub opera_seconds: f64,
+    /// Wall-clock seconds of the Monte Carlo baseline.
+    pub monte_carlo_seconds: f64,
+    /// Speed-up `monte_carlo_seconds / opera_seconds`.
+    pub speedup: f64,
+    /// Number of Monte Carlo samples used.
+    pub mc_samples: usize,
+    /// Distribution of the drop at the worst node (Figures 1–2).
+    pub distribution: ProbeDistribution,
 }
 
 /// Monte Carlo configuration for [`OperaEngine::monte_carlo`].
@@ -624,29 +648,6 @@ impl OperaEngine {
         builder
     }
 
-    /// Builds an engine from an [`ExperimentConfig`] front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OperaError::InvalidOptions`] for invalid configurations and
-    /// propagates setup errors.
-    pub fn from_config(config: &ExperimentConfig) -> Result<OperaEngine> {
-        config.validate()?;
-        let mut builder = OperaEngine::for_grid(config.grid_spec.clone())?
-            .variation(config.variation)
-            .order(config.order)
-            .solver_name(&config.solver)?
-            .time_step(config.time_step)
-            .mc_samples(config.mc_samples)
-            .mc_seed(config.mc_seed)
-            .histogram_bins(config.histogram_bins)
-            .parallelism(config.parallelism);
-        if let Some(end_time) = config.end_time {
-            builder = builder.end_time(end_time);
-        }
-        builder.build()
-    }
-
     /// The power grid the engine was built for.
     pub fn grid(&self) -> &PowerGrid {
         self.model.grid()
@@ -849,7 +850,7 @@ impl OperaEngine {
     pub fn solve_scenario(&self, scenario: &Scenario) -> Result<StochasticSolution> {
         match &self.adaptive {
             Some(adaptive) => self
-                .solve_scenario_adaptive_with(scenario, adaptive)
+                .solve_scenario_adaptive(scenario, adaptive)
                 .map(|(solution, _)| solution),
             None => {
                 let transient = self.scenario_transient(scenario)?;
@@ -886,14 +887,6 @@ impl OperaEngine {
     /// exposes no companion family, for invalid overrides, and when the
     /// controller cannot meet its tolerance; propagates solver errors.
     pub fn solve_scenario_adaptive(
-        &self,
-        scenario: &Scenario,
-        adaptive: &AdaptiveOptions,
-    ) -> Result<(StochasticSolution, AdaptiveStats)> {
-        self.solve_scenario_adaptive_with(scenario, adaptive)
-    }
-
-    fn solve_scenario_adaptive_with(
         &self,
         scenario: &Scenario,
         adaptive: &AdaptiveOptions,
@@ -1262,6 +1255,21 @@ impl OperaEngine {
     }
 }
 
+/// Test shorthand for the one-shot flow: a builder for `model` at expansion
+/// `order` with every transient setting taken from `transient`.
+#[cfg(test)]
+pub(crate) fn builder_for(
+    model: &StochasticGridModel,
+    order: u32,
+    transient: TransientOptions,
+) -> EngineBuilder {
+    OperaEngine::for_model(model.clone())
+        .order(order)
+        .time_step(transient.time_step)
+        .end_time(transient.end_time)
+        .integration_method(transient.method)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1301,10 +1309,98 @@ mod tests {
             builder(|b| b.time_step(-1.0)),
             Err(OperaError::InvalidOptions { .. })
         ));
-        assert!(OperaEngine::for_grid(GridSpec::small_test(80))
+        assert!(matches!(
+            builder(|b| b.end_time(f64::NAN)),
+            Err(OperaError::InvalidOptions { .. })
+        ));
+        assert!(
+            matches!(
+                builder(|b| b.time_step(0.2e-9).end_time(0.1e-9)),
+                Err(OperaError::InvalidOptions { .. })
+            ),
+            "step exceeding the horizon"
+        );
+        let err = OperaEngine::for_grid(GridSpec::small_test(80))
             .unwrap()
-            .solver_name("no-such-backend")
-            .is_err());
+            .solver_name("warp-drive")
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("warp-drive"), "{err}");
+    }
+
+    /// The tiny demo flow of the Table 1 experiment: five 0.2 ns steps on a
+    /// small grid, direct solver.
+    fn demo_builder(nodes: usize, mc_samples: usize) -> EngineBuilder {
+        OperaEngine::for_grid(GridSpec::small_test(nodes))
+            .unwrap()
+            .time_step(0.2e-9)
+            .end_time(1.0e-9)
+            .mc_samples(mc_samples)
+            .mc_seed(7)
+            .histogram_bins(12)
+    }
+
+    #[test]
+    fn quick_experiment_produces_consistent_report() {
+        // The paper's Table 1 sample count: the speed-up claim is made
+        // against 1000 Monte Carlo samples, and Monte Carlo cost grows with
+        // the sample count while OPERA's does not.
+        let engine = demo_builder(120, 1000).build().unwrap();
+        let report = engine.run_scenario(&Scenario::default()).unwrap().report;
+        assert!(report.node_count >= 100);
+        assert!(report.opera.worst_mean_drop > 0.0);
+        assert!(report.opera.sigma_at_worst > 0.0);
+        assert!(report.errors.avg_mean_error_percent < 1.0);
+        assert!(report.opera_seconds > 0.0);
+        assert!(report.monte_carlo_seconds > 0.0);
+        // One-shot accounting: the setup is billed to OPERA.
+        let speedup = report.monte_carlo_seconds / (engine.setup_seconds() + report.opera_seconds);
+        assert!(speedup > 1.0, "speedup {speedup}");
+        assert_eq!(report.mc_samples, 1000);
+        // Histograms cover the same range and contain all samples.
+        assert_eq!(
+            report.distribution.opera.edges(),
+            report.distribution.monte_carlo.edges()
+        );
+        assert_eq!(report.distribution.monte_carlo.total(), report.mc_samples);
+    }
+
+    #[test]
+    fn distributions_overlap_between_opera_and_monte_carlo() {
+        let engine = demo_builder(150, 40).build().unwrap();
+        let report = engine.run_scenario(&Scenario::default()).unwrap().report;
+        // The modal bins of the two histograms should be close (the paper's
+        // figures show nearly coincident distributions).
+        let mode_opera = report.distribution.opera.mode_bin() as i64;
+        let mode_mc = report.distribution.monte_carlo.mode_bin() as i64;
+        assert!(
+            (mode_opera - mode_mc).abs() <= 3,
+            "modes {mode_opera} vs {mode_mc}"
+        );
+    }
+
+    #[test]
+    fn collocation_scenario_produces_a_comparable_report() {
+        let engine = demo_builder(120, 40).build().unwrap();
+        let galerkin = engine.run_scenario(&Scenario::default()).unwrap().report;
+        let colloc = engine
+            .run_collocation_scenario(&Scenario::default(), &CollocationConfig::smolyak(2))
+            .unwrap()
+            .report;
+        // Both methods expand the same response in the same basis, so the
+        // summary statistics nearly coincide and both validate against the
+        // identical Monte Carlo baseline.
+        assert!(colloc.errors.avg_mean_error_percent < 1.0);
+        let rel = (colloc.opera.worst_mean_drop - galerkin.opera.worst_mean_drop).abs()
+            / galerkin.opera.worst_mean_drop;
+        assert!(rel < 1e-3, "worst drops differ by {rel}");
+        assert_eq!(colloc.distribution.node, galerkin.distribution.node);
+
+        // Level 0 is rejected before any work happens.
+        assert!(matches!(
+            engine.run_collocation_scenario(&Scenario::default(), &CollocationConfig::smolyak(0)),
+            Err(OperaError::InvalidOptions { .. })
+        ));
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //!   analysis across all step sizes.
 //! * [`galerkin`] — assembly of the spectral (Galerkin) augmented system
 //!   `(G̃ + sC̃) a(s) = Ũ(s)` of paper Eqs. (19)–(22).
-//! * [`stochastic`] — the one-shot OPERA solver front end: one augmented
-//!   transient solve yields the full polynomial-chaos representation of every
-//!   node voltage at every time step.
+//! * [`stochastic`] — the [`StochasticSolution`] and the augmented transient
+//!   loop behind the engine: one augmented transient solve yields the full
+//!   polynomial-chaos representation of every node voltage at every time
+//!   step.
 //! * [`special_case`] — the Section 5.1 special case (variations only in the
 //!   excitation, e.g. per-region leakage): a single factorisation of the
 //!   nominal matrix plus `N + 1` independent solves.
@@ -46,9 +47,6 @@
 //!   histograms (paper Figures 1–2, the ±3σ column of Table 1).
 //! * [`compare`] — OPERA-vs-Monte-Carlo error metrics (the accuracy columns
 //!   of Table 1).
-//! * [`analysis`] — [`ExperimentConfig`](analysis::ExperimentConfig), a thin
-//!   validated front end over the engine, and the one-shot
-//!   [`run_experiment`](analysis::run_experiment) driver.
 //!
 //! # Quickstart
 //!
@@ -93,7 +91,6 @@
 mod error;
 
 pub mod adaptive;
-pub mod analysis;
 pub mod compare;
 pub mod engine;
 pub mod galerkin;
@@ -115,7 +112,7 @@ pub use galerkin::GalerkinSystem;
 pub use opera_simd::Backend as SimdBackend;
 pub use parallel::Parallelism;
 pub use solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
-pub use stochastic::{OperaOptions, StochasticSolution};
+pub use stochastic::StochasticSolution;
 pub use transient::{IntegrationMethod, TransientOptions, TransientSolution};
 
 /// Result alias used throughout the crate.

@@ -595,7 +595,7 @@ fn transient_sample<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stochastic::{solve, OperaOptions};
+    use crate::engine::builder_for;
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
 
@@ -610,7 +610,11 @@ mod tests {
     fn monte_carlo_matches_opera_mean_and_variance() {
         let (grid, model) = setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let opera = builder_for(&model, 2, topts)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let mc = run(&model, &MonteCarloOptions::new(200, 1, topts)).unwrap();
         let (node, k, _) = opera.worst_mean_drop(grid.vdd());
         let mean_err = (opera.mean_at(k, node) - mc.mean[k][node]).abs() / grid.vdd();

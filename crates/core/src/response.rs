@@ -5,8 +5,12 @@
 //! shift of the mean with respect to the nominal analysis, and the
 //! distribution of the voltage drop at selected nodes (Figures 1–2).
 
+use opera_pce::sampling;
+
+use crate::monte_carlo::MonteCarloResult;
 use crate::stochastic::StochasticSolution;
 use crate::transient::TransientSolution;
+use crate::{OperaError, Result};
 
 /// A histogram over equal-width bins, reported in percentages of occurrences
 /// (the y-axis of the paper's Figures 1 and 2).
@@ -101,6 +105,75 @@ impl Histogram {
             .map(|(i, _)| i)
             .unwrap_or(0)
     }
+}
+
+/// Distributions of the voltage drop (as % of VDD) at a probe node — the
+/// content of the paper's Figures 1 and 2.
+#[derive(Debug, Clone)]
+pub struct ProbeDistribution {
+    /// Node the distribution was taken at.
+    pub node: usize,
+    /// Time index the distribution was taken at (worst mean drop).
+    pub time_index: usize,
+    /// Histogram of the drop predicted by sampling the OPERA expansion.
+    pub opera: Histogram,
+    /// Histogram of the drop observed in the Monte Carlo samples.
+    pub monte_carlo: Histogram,
+}
+
+/// Builds the OPERA and Monte Carlo drop histograms at a probe node/time
+/// (the paper's Figures 1–2). The OPERA histogram is obtained by sampling the
+/// explicit expansion — no further circuit solves are needed, which is the
+/// point the figures make.
+///
+/// # Errors
+///
+/// Returns [`OperaError::InvalidOptions`] when `node` is not a Monte Carlo
+/// probe node and propagates expansion-evaluation errors.
+pub fn probe_distributions(
+    opera: &StochasticSolution,
+    mc: &MonteCarloResult,
+    vdd: f64,
+    node: usize,
+    time_index: usize,
+    bins: usize,
+    seed: u64,
+) -> Result<ProbeDistribution> {
+    // Monte Carlo drops at the probe.
+    let mc_voltages =
+        mc.probe_samples_at(node, time_index)
+            .ok_or_else(|| OperaError::InvalidOptions {
+                reason: format!("node {node} is not a Monte Carlo probe node"),
+            })?;
+    let mc_drops = drops_as_percent_of_vdd(&mc_voltages, vdd);
+
+    // OPERA drops: evaluate the expansion at freshly drawn standard samples.
+    let series = opera.node_series(time_index, node)?;
+    let samples = sampling::sample_standard(series.basis(), mc_voltages.len().max(1000), seed);
+    let opera_voltages = sampling::evaluate_at_samples(&series, &samples)?;
+    let opera_drops = drops_as_percent_of_vdd(&opera_voltages, vdd);
+
+    // Shared histogram range so the two distributions are directly comparable.
+    let lo = mc_drops
+        .iter()
+        .chain(opera_drops.iter())
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    let hi = mc_drops
+        .iter()
+        .chain(opera_drops.iter())
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let span = (hi - lo).max(1e-9);
+    let lo = lo - 0.02 * span;
+    let hi = hi + 0.02 * span;
+
+    Ok(ProbeDistribution {
+        node,
+        time_index,
+        opera: Histogram::with_range(&opera_drops, bins, lo, hi),
+        monte_carlo: Histogram::with_range(&mc_drops, bins, lo, hi),
+    })
 }
 
 /// Summary of the stochastic voltage-drop behaviour of a grid — one Table 1
@@ -218,15 +291,11 @@ pub struct NodeDensity {
 /// Propagates expansion/quadrature errors; returns
 /// [`crate::OperaError::InvalidOptions`] when the voltage has (numerically)
 /// zero variance, in which case a density is not defined.
-pub fn node_density(
-    solution: &StochasticSolution,
-    k: usize,
-    node: usize,
-) -> crate::Result<NodeDensity> {
+pub fn node_density(solution: &StochasticSolution, k: usize, node: usize) -> Result<NodeDensity> {
     let series = solution.node_series(k, node)?;
     let moments = opera_pce::moments::moments(&series)?;
     if moments.variance <= 0.0 {
-        return Err(crate::OperaError::InvalidOptions {
+        return Err(OperaError::InvalidOptions {
             reason: format!("node {node} has zero variance at time index {k}"),
         });
     }
@@ -237,7 +306,7 @@ pub fn node_density(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stochastic::{solve, OperaOptions};
+    use crate::engine::builder_for;
     use crate::transient::{solve_transient, TransientOptions};
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -280,7 +349,11 @@ mod tests {
         let model =
             StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let sol = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let sol = builder_for(&model, 2, topts)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let nominal = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
@@ -313,11 +386,11 @@ mod tests {
         let grid = GridSpec::small_test(100).with_seed(23).build().unwrap();
         let model =
             StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let sol = solve(
-            &model,
-            &OperaOptions::order2(TransientOptions::new(0.2e-9, 1.0e-9)),
-        )
-        .unwrap();
+        let sol = builder_for(&model, 2, TransientOptions::new(0.2e-9, 1.0e-9))
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let (node, k, _) = sol.worst_mean_drop(grid.vdd());
         let nd = node_density(&sol, k, node).unwrap();
         assert!((nd.moments.mean - sol.mean_at(k, node)).abs() < 1e-10);

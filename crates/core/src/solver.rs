@@ -759,8 +759,8 @@ fn registry() -> &'static Mutex<BTreeMap<String, BackendFactory>> {
 }
 
 /// Registers (or replaces) a backend factory under `name`, making it
-/// available to configuration front ends such as
-/// [`ExperimentConfig::solver`](crate::analysis::ExperimentConfig::solver).
+/// available by name through
+/// [`EngineBuilder::solver_name`](crate::engine::EngineBuilder::solver_name).
 pub fn register_backend(
     name: &str,
     factory: impl Fn() -> Arc<dyn SolverBackend> + Send + Sync + 'static,

@@ -3,11 +3,28 @@
 
 use proptest::prelude::*;
 
+use opera::engine::OperaEngine;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
-use opera::stochastic::{solve, OperaOptions};
 use opera::transient::{solve_transient, TransientOptions};
+use opera::StochasticSolution;
 use opera_grid::GridSpec;
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
+
+/// One OPERA analysis of `model` at expansion `order`.
+fn solve(
+    model: StochasticGridModel,
+    order: u32,
+    transient: TransientOptions,
+) -> StochasticSolution {
+    OperaEngine::for_model(model)
+        .order(order)
+        .time_step(transient.time_step)
+        .end_time(transient.end_time)
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -33,7 +50,7 @@ proptest! {
         };
         let solve_for = |spec: &VariationSpec| {
             let model = StochasticGridModel::inter_die(&grid, spec).unwrap();
-            solve(&model, &OperaOptions::order2(topts)).unwrap()
+            solve(model, 2, topts)
         };
         let small = solve_for(&spec_small);
         let large = solve_for(&spec_large);
@@ -58,7 +75,7 @@ proptest! {
         let grid = GridSpec::small_test(70).with_seed(seed).build().unwrap();
         let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
         let topts = TransientOptions::new(0.25e-9, 0.5e-9);
-        let sol = solve(&model, &OperaOptions::with_order(order, topts)).unwrap();
+        let sol = solve(model, order, topts);
         for k in 0..sol.times().len() {
             for i in 0..sol.basis_size() {
                 for node in (0..sol.node_count()).step_by(11) {

@@ -10,17 +10,25 @@
 //! (c) the projected statistics are bit-identical for 1, 2 and 8 worker
 //!     threads.
 
-use opera::analysis::ExperimentConfig;
 use opera::engine::{CollocationConfig, OperaEngine};
+use opera::solver::BLOCK_JACOBI_CG;
 use opera::{McConfig, Parallelism};
+use opera_grid::GridSpec;
 
-/// The scaled first paper grid shared by the tests below.
+/// The scaled first paper grid shared by the tests below, with the Table 1
+/// row's solver and Monte Carlo seed.
 fn paper_engine(parallelism: Parallelism) -> OperaEngine {
-    let mut config = ExperimentConfig::table1_row_scaled(0, 0.012, 50).unwrap();
-    config.time_step = 0.1e-9;
-    config.end_time = Some(1.0e-9);
-    config.parallelism = parallelism;
-    OperaEngine::from_config(&config).unwrap()
+    OperaEngine::for_grid(GridSpec::paper_grid(0).unwrap().scaled_nodes(0.012))
+        .unwrap()
+        .solver_name(BLOCK_JACOBI_CG)
+        .unwrap()
+        .time_step(0.1e-9)
+        .end_time(1.0e-9)
+        .mc_samples(50)
+        .mc_seed(42)
+        .parallelism(parallelism)
+        .build()
+        .unwrap()
 }
 
 #[test]

@@ -1,17 +1,28 @@
 //! Integration test for the setup-once/solve-many contract of `OperaEngine`:
 //! a batch of K scenarios must be served by exactly one Galerkin assembly and
 //! one factorisation (counted via the engine's test hooks), while returning
-//! statistics bit-identical to K independent one-shot `run_experiment` calls
-//! that each rebuild everything from scratch.
+//! statistics bit-identical to K independent one-shot runs, each on a fresh
+//! engine that rebuilds everything from scratch.
 
-use opera::analysis::{run_experiment, ExperimentConfig};
-use opera::engine::{OperaEngine, Scenario};
+use opera::engine::{EngineBuilder, OperaEngine, Scenario};
 use opera::solver::{BLOCK_JACOBI_CG, LEFT_LOOKING_LU};
+use opera_grid::GridSpec;
+
+/// The small demo flow: five 0.2 ns steps on a `nodes`-node test grid with a
+/// 40-sample Monte Carlo validation.
+fn demo(nodes: usize) -> EngineBuilder {
+    OperaEngine::for_grid(GridSpec::small_test(nodes))
+        .unwrap()
+        .time_step(0.2e-9)
+        .end_time(1.0e-9)
+        .mc_samples(40)
+        .mc_seed(7)
+        .histogram_bins(12)
+}
 
 #[test]
 fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
-    let config = ExperimentConfig::quick_demo(140);
-    let engine = OperaEngine::from_config(&config).unwrap();
+    let engine = demo(140).build().unwrap();
     assert_eq!(engine.assembly_count(), 1);
     assert_eq!(engine.factorization_count(), 1);
 
@@ -30,12 +41,11 @@ fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
     assert_eq!(engine.factorization_count(), 1, "run_batch re-factored");
 
     // Each batched report must be bit-identical (timings aside) to the
-    // corresponding one-shot experiment, which rebuilds grid, model, system
-    // and factorisation from scratch.
+    // corresponding one-shot run on a fresh engine, which rebuilds grid,
+    // model, system and factorisation from scratch.
     for (&seed, batched) in seeds.iter().zip(&batch) {
-        let mut one_shot_config = config.clone();
-        one_shot_config.mc_seed = seed;
-        let one_shot = run_experiment(&one_shot_config).unwrap();
+        let fresh = demo(140).mc_seed(seed).build().unwrap();
+        let one_shot = fresh.run_scenario(&Scenario::default()).unwrap().report;
 
         assert_eq!(batched.report.node_count, one_shot.node_count);
         assert_eq!(batched.report.mc_samples, one_shot.mc_samples);
@@ -66,7 +76,7 @@ fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
 
 #[test]
 fn time_step_overrides_refactor_but_never_reassemble() {
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(120)).unwrap();
+    let engine = demo(120).build().unwrap();
     let scenarios = [
         Scenario::named("baseline"),
         Scenario::named("fine").with_time_step(0.1e-9),
@@ -86,11 +96,14 @@ fn time_step_overrides_refactor_but_never_reassemble() {
 }
 
 #[test]
-fn solver_backends_are_interchangeable_through_the_config_front_end() {
-    let direct = run_experiment(&ExperimentConfig::quick_demo(110)).unwrap();
+fn solver_backends_are_interchangeable_through_the_engine_builder() {
+    let run = |builder: EngineBuilder| {
+        let engine = builder.build().unwrap();
+        engine.run_scenario(&Scenario::default()).unwrap().report
+    };
+    let direct = run(demo(110));
     for backend in [BLOCK_JACOBI_CG, LEFT_LOOKING_LU] {
-        let config = ExperimentConfig::quick_demo(110).with_solver(backend);
-        let report = run_experiment(&config).unwrap();
+        let report = run(demo(110).solver_name(backend).unwrap());
         // Same grid and seeds; only the augmented-system solver differs, so
         // the statistics agree to solver tolerance.
         let rel = (report.opera.worst_mean_drop - direct.opera.worst_mean_drop).abs()

@@ -1,11 +1,11 @@
-//! Workspace smoke test: the end-to-end experiment driver runs on a tiny
-//! configuration, and the parallel Monte Carlo path is statistics-identical
+//! Workspace smoke test: the end-to-end OPERA-vs-Monte-Carlo flow runs on a
+//! tiny configuration, and the parallel Monte Carlo path is statistics-identical
 //! to the serial path for a fixed seed (with a wall-clock sanity check on
 //! multi-core machines).
 
 use std::time::Instant;
 
-use opera::analysis::{run_experiment, ExperimentConfig};
+use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
 use opera::transient::TransientOptions;
@@ -15,7 +15,16 @@ use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 
 #[test]
 fn quick_demo_experiment_runs_end_to_end() {
-    let report = run_experiment(&ExperimentConfig::quick_demo(150)).unwrap();
+    let engine = OperaEngine::for_grid(GridSpec::small_test(150))
+        .unwrap()
+        .time_step(0.2e-9)
+        .end_time(1.0e-9)
+        .mc_samples(40)
+        .mc_seed(7)
+        .histogram_bins(12)
+        .build()
+        .unwrap();
+    let report = engine.run_scenario(&Scenario::default()).unwrap().report;
     assert!(report.node_count >= 100);
     assert!(report.opera.max_three_sigma_percent_of_nominal > 0.0);
     assert!(report.errors.avg_mean_error_percent < 1.0);

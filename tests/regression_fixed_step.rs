@@ -10,22 +10,26 @@
 //!
 //! Adaptive stepping is opt-in: the defaults are also pinned (backward
 //! Euler, no adaptive options on a default-built engine).
+//!
+//! The Galerkin solve is pinned too: the engine's polynomial-chaos
+//! coefficients must stay bit-identical to those of the one-shot solver
+//! front end it replaced, for every fixed-step scheme and both solver
+//! families.
 
 use opera::adaptive::AdaptiveOptions;
 use opera::engine::OperaEngine;
+use opera::solver::{BLOCK_JACOBI_CG, DIRECT_CHOLESKY};
 use opera::transient::{
     solve_transient, CompanionFamily, CompanionSystem, IntegrationMethod, TransientOptions,
 };
 use opera_grid::GridSpec;
 use opera_sparse::{CsrMatrix, TripletMatrix};
+use opera_variation::{StochasticGridModel, VariationSpec};
 
-/// FNV-1a over the IEEE-754 bit patterns of a trajectory, order-sensitive.
-/// The state panel is column-major with one column per time point, so
-/// hashing its contiguous data visits exactly the pre-refactor
-/// row-of-vectors order (time-major, node-minor).
-fn fnv1a_bits(states: &opera_sparse::Panel) -> u64 {
+/// FNV-1a over the IEEE-754 bit patterns of a sequence, order-sensitive.
+fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &v in states.data() {
+    for v in values {
         for byte in v.to_bits().to_le_bytes() {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x1000_0000_01b3);
@@ -75,10 +79,78 @@ fn fixed_step_trajectories_are_bit_identical_to_the_pre_refactor_pins() {
             method,
         };
         let sol = solve_transient(&g, &c, pinned_excitation, &options).unwrap();
-        let hash = fnv1a_bits(sol.states());
+        // The state panel is column-major with one column per time point, so
+        // its contiguous data is the pre-refactor row-of-vectors order
+        // (time-major, node-minor).
+        let hash = fnv1a_bits(sol.states().data().iter().copied());
         assert_eq!(
             hash, expected,
             "{method:?}: fixed-step trajectory hash changed (got {hash:#018x})"
+        );
+    }
+}
+
+#[test]
+fn galerkin_coefficients_are_bit_identical_to_the_one_shot_pins() {
+    // Hashes recorded from the one-shot solver front end on a 117-node test
+    // grid (order 2, six basis functions, eleven time points).
+    let pins = [
+        (
+            IntegrationMethod::BackwardEuler,
+            DIRECT_CHOLESKY,
+            0x091f_d61d_bd2b_4fc8_u64,
+        ),
+        (
+            IntegrationMethod::BackwardEuler,
+            BLOCK_JACOBI_CG,
+            0x9e3e_5efa_406f_03fd,
+        ),
+        (
+            IntegrationMethod::Trapezoidal,
+            DIRECT_CHOLESKY,
+            0xcb66_ddf7_2a54_19fd,
+        ),
+        (
+            IntegrationMethod::Trapezoidal,
+            BLOCK_JACOBI_CG,
+            0x8d56_2044_1563_f4e0,
+        ),
+        (
+            IntegrationMethod::TrBdf2,
+            DIRECT_CHOLESKY,
+            0x2d0d_d0e4_f5fd_d654,
+        ),
+        (
+            IntegrationMethod::TrBdf2,
+            BLOCK_JACOBI_CG,
+            0xfc79_38f4_ee00_81fc,
+        ),
+    ];
+    let grid = GridSpec::small_test(120).with_seed(9).build().unwrap();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    for (method, solver, expected) in pins {
+        let sol = OperaEngine::for_model(model.clone())
+            .order(2)
+            .solver_name(solver)
+            .unwrap()
+            .time_step(0.1e-9)
+            .end_time(1.0e-9)
+            .integration_method(method)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
+        // Time-major, then basis index, then node.
+        let mut coefficients = Vec::new();
+        for k in 0..sol.times().len() {
+            for i in 0..sol.basis_size() {
+                coefficients.extend((0..sol.node_count()).map(|n| sol.coefficient(k, i, n)));
+            }
+        }
+        let hash = fnv1a_bits(coefficients);
+        assert_eq!(
+            hash, expected,
+            "{method:?}/{solver}: Galerkin coefficient hash changed (got {hash:#018x})"
         );
     }
 }
