@@ -14,19 +14,23 @@
 //! between accepted steps, and output points that coincide with accepted steps
 //! are bit-exact copies of the accepted state.
 //!
-//! Step-size changes are cheap by construction: the controller requests every
-//! factorisation through a [`CompanionFamily`], which reuses one shared
-//! symbolic Cholesky analysis (numeric-only refactorisation) and serves
-//! recently used step sizes from an LRU cache. A dead-band in the controller
-//! keeps the step unchanged when the predicted growth is modest, so long
-//! smooth stretches run entirely on cache hits. See `docs/TRANSIENT.md` for
-//! the full contract.
+//! The controller drives any [`PreparedSolver`]: it re-steps the solver
+//! through [`PreparedSolver::with_time_step`] whenever the step size changes
+//! and reads the error estimate from
+//! [`PreparedSolver::tr_bdf2_error_into`]. Step-size changes are cheap by
+//! construction: both built-in solver families refactor through a
+//! [`CompanionFamily`](crate::transient::CompanionFamily), which reuses one
+//! shared symbolic Cholesky analysis (numeric-only refactorisation) and
+//! serves recently used step sizes from an LRU cache — the augmented
+//! companion for the direct backends, only the nominal `n × n` preconditioner
+//! for the CG backend. A dead-band in the controller keeps the step
+//! unchanged when the predicted growth is modest, so long smooth stretches
+//! reuse the current solver. See `docs/TRANSIENT.md` for the full contract.
 
-use opera_sparse::{CsrMatrix, MatrixFactor, SolveWorkspace};
+use opera_sparse::{CsrMatrix, SolveWorkspace};
 
-use crate::transient::{
-    CompanionFamily, IntegrationMethod, TransientOptions, TransientSolution, TR_BDF2_GAMMA,
-};
+use crate::solver::{direct_tr_bdf2, PreparedSolver};
+use crate::transient::{IntegrationMethod, TransientOptions, TransientSolution, TR_BDF2_GAMMA};
 use crate::{OperaError, Result};
 
 /// Controller dead-band: predicted step factors inside `[DEADBAND_LOW,
@@ -147,6 +151,18 @@ impl AdaptiveOptions {
         }
         Ok(())
     }
+
+    /// The smallest and largest step and the first attempted step over a
+    /// horizon of `span` seconds.
+    fn step_bounds(&self, span: f64) -> (f64, f64, f64) {
+        let min_step = self.min_step.unwrap_or(span * 1e-12);
+        let max_step = self.max_step.unwrap_or(span).min(span);
+        let initial = self
+            .initial_step
+            .unwrap_or(span / 100.0)
+            .clamp(min_step, max_step);
+        (min_step, max_step, initial)
+    }
 }
 
 fn invalid(reason: String) -> OperaError {
@@ -162,8 +178,10 @@ pub struct AdaptiveStats {
     pub steps_accepted: u64,
     /// Steps rejected by the error test (never emitted).
     pub steps_rejected: u64,
-    /// Numeric refactorisations the run triggered in its
-    /// [`CompanionFamily`] (cache hits excluded).
+    /// Numeric refactorisations the run triggered in the solver's
+    /// [`CompanionFamily`](crate::transient::CompanionFamily) (cache hits
+    /// excluded): augmented factors for the direct backends, nominal
+    /// preconditioner factors for the CG backend.
     pub refactorizations: u64,
     /// Symbolic analyses the family has ever run (1 for Cholesky families —
     /// step-size changes are numeric-only).
@@ -241,55 +259,53 @@ fn interpolate_into(v_old: &[f64], v_mid: &[f64], v_new: &[f64], theta: f64, out
 /// `output_times[0]`, integrates to `*output_times.last()`, and returns the
 /// dense output on `output_times` plus the accepted internal trajectory.
 ///
-/// Every factorisation goes through `family` (one symbolic analysis, LRU'd
-/// numeric factors); rejected steps are never emitted; the final step is
-/// capped so the last accepted time is **exactly** `t_end`. Counters
-/// `transient.adaptive.steps_attempted` / `transient.adaptive.steps_rejected`
-/// flow into [`opera_trace`] alongside the family's refactorisation counter.
+/// `solver` must be prepared for [`IntegrationMethod::TrBdf2`]; every step
+/// size the controller tries is served by `solver.with_time_step(h)`
+/// (re-stepped only when `h` changes), and the step is judged by its
+/// [`PreparedSolver::tr_bdf2_error_into`] estimate. Rejected steps are never
+/// emitted; the final step is capped so the last accepted time is
+/// **exactly** `t_end`. Counters `transient.adaptive.steps_attempted` /
+/// `transient.adaptive.steps_rejected` flow into [`opera_trace`] alongside
+/// the solver family's refactorisation counter.
 ///
 /// # Errors
 ///
 /// Returns [`OperaError::InvalidOptions`] when the output grid is not
-/// strictly increasing, when `v0` disagrees with the family dimension, or
-/// when the controller cannot meet the tolerance within `max_rejects`
-/// consecutive rejections at the minimum step.
+/// strictly increasing, when `v0` disagrees with the excitation dimension,
+/// when the solver cannot re-step, or when the controller cannot meet the
+/// tolerance within `max_rejects` consecutive rejections at the minimum
+/// step; propagates solver errors.
 pub(crate) fn integrate_adaptive(
-    family: &CompanionFamily,
+    solver: &dyn PreparedSolver,
     v0: Vec<f64>,
     excitation: &dyn Fn(f64) -> Vec<f64>,
     output_times: &[f64],
     options: &AdaptiveOptions,
 ) -> Result<AdaptiveRun> {
     options.validate()?;
-    if output_times.len() < 2 || output_times.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(invalid(
-            "adaptive output grid needs at least two strictly increasing times".to_string(),
-        ));
-    }
-    if v0.len() != family.dim() {
+    validate_output_grid(output_times)?;
+    let t0 = output_times[0];
+    let t_end = output_times[output_times.len() - 1];
+    let (min_step, max_step, mut h) = options.step_bounds(t_end - t0);
+    let mut u_prev = excitation(t0);
+    if v0.len() != u_prev.len() {
         return Err(invalid(format!(
             "initial state has {} entries but the system dimension is {}",
             v0.len(),
-            family.dim()
+            u_prev.len()
         )));
     }
-    let t0 = output_times[0];
-    let t_end = output_times[output_times.len() - 1];
-    let span = t_end - t0;
-    let min_step = options.min_step.unwrap_or(span * 1e-12);
-    let max_step = options.max_step.unwrap_or(span).min(span);
-    let mut h = options
-        .initial_step
-        .unwrap_or(span / 100.0)
-        .clamp(min_step, max_step);
 
     let n = v0.len();
-    let refactorizations_before = family.refactorization_count();
+    let family = solver.companion_family();
+    let refactorizations_before = family.map_or(0, |f| f.refactorization_count());
     let mut stats = AdaptiveStats::default();
+    // The first attempt steps by `h` itself (`h` never exceeds the span).
+    let mut system = restep(solver, h)?;
+    let mut system_step = h;
 
     let mut v = v0;
     let mut t = t0;
-    let mut u_prev = excitation(t0);
     let mut stage = vec![0.0; n];
     let mut next = vec![0.0; n];
     let mut err = vec![0.0; n];
@@ -310,16 +326,19 @@ pub(crate) fn integrate_adaptive(
         let last_step = h >= t_end - t;
         let h_eff = if last_step { t_end - t } else { h };
         let t_new = if last_step { t_end } else { t + h };
-        let system = family.system_for(h_eff, IntegrationMethod::TrBdf2)?;
+        if h_eff.to_bits() != system_step.to_bits() {
+            system = restep(solver, h_eff)?;
+            system_step = h_eff;
+        }
 
         stats.steps_attempted += 1;
         opera_trace::count("transient.adaptive.steps_attempted", 1);
         let u_mid = excitation(t + TR_BDF2_GAMMA * h_eff);
         let u_new = excitation(t_new);
-        system.step_tr_bdf2_into(&v, &u_prev, &u_mid, &u_new, &mut stage, &mut next, &mut ws);
+        system.step_tr_bdf2_into(&v, &u_prev, &u_mid, &u_new, &mut stage, &mut next, &mut ws)?;
         system.tr_bdf2_error_into(
             &v, &stage, &next, &u_prev, &u_mid, &u_new, &mut err, &mut ws,
-        );
+        )?;
         let err_norm = wrms_norm(&err, &v, &next, options);
 
         // A NaN norm fails this comparison and lands in the reject branch.
@@ -375,13 +394,35 @@ pub(crate) fn integrate_adaptive(
     }
     drop(adaptive_span);
 
-    stats.refactorizations = family.refactorization_count() - refactorizations_before;
-    stats.symbolic_analyses = family.symbolic_analysis_count();
+    if let Some(family) = family {
+        stats.refactorizations = family.refactorization_count() - refactorizations_before;
+        stats.symbolic_analyses = family.symbolic_analysis_count();
+    }
     Ok(AdaptiveRun {
         states,
         accepted_times,
         accepted_states,
         stats,
+    })
+}
+
+/// Rejects output grids with fewer than two times or times that do not
+/// strictly increase.
+fn validate_output_grid(output_times: &[f64]) -> Result<()> {
+    if output_times.len() < 2 || output_times.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(invalid(
+            "adaptive output grid needs at least two strictly increasing times".to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// `solver` re-prepared for step `h`.
+fn restep(solver: &dyn PreparedSolver, h: f64) -> Result<Box<dyn PreparedSolver>> {
+    solver.with_time_step(h)?.ok_or_else(|| {
+        invalid(
+            "adaptive stepping needs a solver backend that can change its time step".to_string(),
+        )
     })
 }
 
@@ -453,12 +494,20 @@ pub fn solve_transient_adaptive_at(
     output_times: &[f64],
     adaptive: &AdaptiveOptions,
 ) -> Result<AdaptiveTransientSolution> {
-    let family = CompanionFamily::new(g, c)?;
-    let u0 = excitation(output_times.first().copied().unwrap_or(0.0));
-    let v0 = MatrixFactor::cholesky_or_lu(g)
-        .map_err(OperaError::from)?
-        .solve(&u0);
-    let run = integrate_adaptive(&family, v0, &excitation, output_times, adaptive)?;
+    adaptive.validate()?;
+    validate_output_grid(output_times)?;
+    let t0 = output_times[0];
+    let (_, _, initial_step) = adaptive.step_bounds(output_times[output_times.len() - 1] - t0);
+    // Prepared at the controller's first step, which therefore reuses this
+    // factorisation.
+    let solver = direct_tr_bdf2(g, c, initial_step)?;
+    let v0 = solver.solve_dc(&excitation(t0))?;
+    let mut run = integrate_adaptive(solver.as_ref(), v0, &excitation, output_times, adaptive)?;
+    // The family was built for this run alone: its first factorisation
+    // belongs to the run too.
+    if let Some(family) = solver.companion_family() {
+        run.stats.refactorizations = family.refactorization_count();
+    }
     Ok(AdaptiveTransientSolution {
         solution: TransientSolution::from_states(output_times.to_vec(), &run.states),
         accepted_times: run.accepted_times,

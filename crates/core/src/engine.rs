@@ -54,7 +54,7 @@ use crate::galerkin::GalerkinSystem;
 use crate::monte_carlo::{run as run_monte_carlo, MonteCarloOptions, MonteCarloResult};
 use crate::parallel::Parallelism;
 use crate::response::{drop_summary, probe_distributions, DropSummary, ProbeDistribution};
-use crate::solver::{backend_by_name, DirectCholesky, PreparedSolver, SolverBackend};
+use crate::solver::{backend_by_name, BlockJacobiCg, PreparedSolver, SolverBackend};
 use crate::stochastic::{
     run_prepared, run_prepared_adaptive, run_prepared_panel, StochasticSolution,
 };
@@ -300,7 +300,7 @@ impl EngineBuilder {
             source,
             node_names: None,
             order: 2,
-            solver: Arc::new(DirectCholesky),
+            solver: Arc::new(BlockJacobiCg::default()),
             time_step: 0.05e-9,
             end_time: None,
             method: IntegrationMethod::BackwardEuler,
@@ -339,7 +339,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the solver backend for the augmented system.
+    /// Sets the solver backend for the augmented system. The default is
+    /// [`BlockJacobiCg::default`], conjugate gradient with the mean-based
+    /// preconditioner; [`DirectCholesky`](crate::solver::DirectCholesky)
+    /// factors the whole augmented matrix instead.
     pub fn solver(mut self, solver: Arc<dyn SolverBackend>) -> Self {
         self.solver = solver;
         self
@@ -379,8 +382,9 @@ impl EngineBuilder {
     /// TR-BDF2 stepping (see [`crate::adaptive`]): the `.tran` grid becomes
     /// the *output* grid while the controller chooses the internal steps, and
     /// the integration method is forced to
-    /// [`IntegrationMethod::TrBdf2`]. Requires a direct solver backend
-    /// (Cholesky or LU); [`EngineBuilder::build`] rejects iterative backends.
+    /// [`IntegrationMethod::TrBdf2`]. Every built-in solver backend steps
+    /// adaptively: each step-size change re-runs only a numeric
+    /// factorisation ([`PreparedSolver::with_time_step`]).
     pub fn adaptive(mut self, adaptive: AdaptiveOptions) -> Self {
         self.adaptive = Some(adaptive);
         self.method = IntegrationMethod::TrBdf2;
@@ -477,15 +481,6 @@ impl EngineBuilder {
             OrthogonalBasis::total_order_mixed(model.families(), model.n_vars(), self.order)?;
         let system = GalerkinSystem::assemble(&model, &basis)?;
         let prepared = self.solver.prepare(&model, &system, &transient)?;
-        if self.adaptive.is_some() && prepared.companion_family().is_none() {
-            return Err(OperaError::InvalidOptions {
-                reason: format!(
-                    "adaptive stepping requires a direct solver backend, \
-                     but '{}' exposes no companion family",
-                    self.solver.name()
-                ),
-            });
-        }
         let setup_seconds = started.elapsed().as_secs_f64();
         drop(trace_span);
 
@@ -766,9 +761,9 @@ impl OperaEngine {
     /// prepared solver with one reused
     /// [`SolveWorkspace`](opera_sparse::SolveWorkspace) and returns how many
     /// workspace buffer growths the steps *after the first* performed. For
-    /// the direct backends this is `0`: every steady-state step borrows all
-    /// solver scratch from the warm workspace and never touches the
-    /// allocator. CI asserts exactly that.
+    /// every built-in backend this is `0`: every steady-state step borrows
+    /// all solver scratch (CG's iteration vectors included) from the warm
+    /// workspace and never touches the allocator. CI asserts exactly that.
     ///
     /// # Errors
     ///
@@ -879,12 +874,14 @@ impl OperaEngine {
     /// returns the controller statistics alongside the solution. The solution
     /// is reported on the scenario's `.tran` grid (dense interpolated
     /// output), exactly like [`solve_scenario`](Self::solve_scenario) when
-    /// the engine was [built adaptive](EngineBuilder::adaptive).
+    /// the engine was [built adaptive](EngineBuilder::adaptive). An engine
+    /// built for another scheme prepares a TR-BDF2 solver first, which
+    /// counts towards [`factorization_count`](Self::factorization_count).
     ///
     /// # Errors
     ///
     /// Returns [`OperaError::InvalidOptions`] when the engine's backend
-    /// exposes no companion family, for invalid overrides, and when the
+    /// cannot change its time step, for invalid overrides, and when the
     /// controller cannot meet its tolerance; propagates solver errors.
     pub fn solve_scenario_adaptive(
         &self,
@@ -892,10 +889,15 @@ impl OperaEngine {
         adaptive: &AdaptiveOptions,
     ) -> Result<(StochasticSolution, AdaptiveStats)> {
         let transient = self.scenario_transient(scenario)?;
+        let fresh = self.prepare_if_needed(&TransientOptions {
+            time_step: self.transient.time_step,
+            method: IntegrationMethod::TrBdf2,
+            ..transient
+        })?;
         let scale = scenario.current_scale;
         let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
         run_prepared_adaptive(
-            self.prepared.as_ref(),
+            fresh.as_deref().unwrap_or(self.prepared.as_ref()),
             &self.system,
             |t| {
                 let mut u = self.system.excitation(&self.model, t);
@@ -1329,7 +1331,7 @@ mod tests {
     }
 
     /// The tiny demo flow of the Table 1 experiment: five 0.2 ns steps on a
-    /// small grid, direct solver.
+    /// small grid, default solver.
     fn demo_builder(nodes: usize, mc_samples: usize) -> EngineBuilder {
         OperaEngine::for_grid(GridSpec::small_test(nodes))
             .unwrap()
@@ -1426,6 +1428,23 @@ mod tests {
             .unwrap();
         assert_eq!(engine.factorization_count(), 2);
         assert_eq!(engine.assembly_count(), 1);
+
+        // An adaptive solve on this backward-Euler engine prepares a TR-BDF2
+        // solver first. (At the default 1 nV `abs_tol` the controller gives
+        // up on this grid, on either backend.)
+        let adaptive = AdaptiveOptions {
+            abs_tol: 1e-6,
+            ..AdaptiveOptions::default()
+        };
+        let (solution, stats) = engine
+            .solve_scenario_adaptive(&Scenario::default(), &adaptive)
+            .unwrap();
+        assert_eq!(engine.factorization_count(), 3);
+        assert_eq!(
+            solution.times().len(),
+            engine.transient().time_points().len()
+        );
+        assert!(stats.steps_accepted > 0);
     }
 
     #[test]

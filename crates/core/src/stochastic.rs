@@ -161,7 +161,7 @@ pub(crate) fn run_prepared(
     // One workspace and two state buffers serve the whole transient: the
     // loop double-buffers `state`/`next` and every solve borrows its scratch
     // from `ws`, so the steady-state loop performs zero solver allocations
-    // per step (the direct backends' contract, asserted by the engine's
+    // per step (every built-in backend's contract, asserted by the engine's
     // allocation-counter hook).
     let mut ws = SolveWorkspace::with_capacity(dim);
     let u0 = excitation(0.0);
@@ -206,12 +206,12 @@ pub(crate) fn run_prepared(
 }
 
 /// Adaptive variant of [`run_prepared`]: the augmented transient is advanced
-/// by the LTE-driven TR-BDF2 controller of [`crate::adaptive`] through the
-/// prepared solver's [`CompanionFamily`](crate::transient::CompanionFamily)
-/// (one symbolic analysis; numeric-only refactorisation per step size), and
-/// the polynomial-chaos coefficients are reported on `times` via dense
-/// interpolation — bit-exact copies wherever an output time coincides with an
-/// accepted step.
+/// by the LTE-driven TR-BDF2 controller of [`crate::adaptive`], which
+/// re-steps the prepared solver (prepared for TR-BDF2) through
+/// [`PreparedSolver::with_time_step`] — numeric-only refactorisation per
+/// step size for every built-in backend — and the polynomial-chaos
+/// coefficients are reported on `times` via dense interpolation — bit-exact
+/// copies wherever an output time coincides with an accepted step.
 pub(crate) fn run_prepared_adaptive(
     prepared: &dyn PreparedSolver,
     system: &GalerkinSystem,
@@ -219,20 +219,13 @@ pub(crate) fn run_prepared_adaptive(
     times: Vec<f64>,
     adaptive: &AdaptiveOptions,
 ) -> Result<(StochasticSolution, AdaptiveStats)> {
-    let family = prepared
-        .companion_family()
-        .ok_or_else(|| OperaError::InvalidOptions {
-            reason: "adaptive stepping needs a direct solver backend \
-                     (no companion family is available)"
-                .to_string(),
-        })?;
     let n = system.node_count();
     let dim = system.dim();
     let mut ws = SolveWorkspace::with_capacity(dim);
     let u0 = excitation(times.first().copied().unwrap_or(0.0));
     let mut v0 = vec![0.0; dim];
     prepared.solve_dc_into(&u0, &mut v0, &mut ws)?;
-    let run = integrate_adaptive(family, v0, &excitation, &times, adaptive)?;
+    let run = integrate_adaptive(prepared, v0, &excitation, &times, adaptive)?;
     let coefficients = run
         .states
         .iter()
@@ -352,7 +345,7 @@ mod tests {
 
     use super::*;
     use crate::engine::builder_for;
-    use crate::solver::{BlockJacobiCg, LeftLookingLu, SolverBackend};
+    use crate::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
     use crate::transient::{solve_transient, TransientOptions};
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -489,12 +482,12 @@ mod tests {
     }
 
     #[test]
-    fn default_solver_is_direct_cholesky() {
+    fn default_solver_is_block_jacobi_cg() {
         let (_grid, model) = small_setup();
         let engine = builder_for(&model, 2, TransientOptions::new(0.1e-9, 1.0e-9))
             .build()
             .unwrap();
-        assert_eq!(engine.solver().name(), crate::solver::DIRECT_CHOLESKY);
+        assert_eq!(engine.solver().name(), crate::solver::BLOCK_JACOBI_CG);
     }
 
     #[test]
@@ -506,8 +499,8 @@ mod tests {
             end_time: 1.0e-9,
             method: crate::transient::IntegrationMethod::Trapezoidal,
         };
-        let direct = solve(&model, 2, topts);
-        let iterative = solve_with(&model, topts, Arc::new(BlockJacobiCg::default()));
+        let direct = solve_with(&model, topts, Arc::new(DirectCholesky));
+        let iterative = solve(&model, 2, topts);
         let (node, k, _) = direct.worst_mean_drop(grid.vdd());
         assert!((direct.mean_at(k, node) - iterative.mean_at(k, node)).abs() < 1e-7 * grid.vdd());
         assert!(
@@ -519,7 +512,7 @@ mod tests {
     fn left_looking_lu_backend_matches_direct_cholesky_exactly_enough() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let direct = solve(&model, 2, topts);
+        let direct = solve_with(&model, topts, Arc::new(DirectCholesky));
         let lu = solve_with(&model, topts, Arc::new(LeftLookingLu));
         let (node, k, _) = direct.worst_mean_drop(grid.vdd());
         assert!((direct.mean_at(k, node) - lu.mean_at(k, node)).abs() < 1e-9 * grid.vdd());
@@ -530,8 +523,8 @@ mod tests {
     fn iterative_solver_matches_direct_solver() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let direct = solve(&model, 2, topts);
-        let iterative = solve_with(&model, topts, Arc::new(BlockJacobiCg::default()));
+        let direct = solve_with(&model, topts, Arc::new(DirectCholesky));
+        let iterative = solve(&model, 2, topts);
         for k in (0..direct.times().len()).step_by(3) {
             for n in (0..direct.node_count()).step_by(9) {
                 assert!(

@@ -40,6 +40,21 @@ const TR_BDF2_ERR_MID: f64 =
 /// Residual weight of the step-end node.
 const TR_BDF2_ERR_NEW: f64 = 2.0 * TR_BDF2_ERR_CONST / (TR_BDF2_GAMMA * (1.0 - TR_BDF2_GAMMA));
 
+/// Right-hand side of the filtered TR-BDF2 error estimate,
+/// `Σ w_i (u_i − G v_i)` over the stage nodes `[v_k, v_γ, v_{k+1}]`, written
+/// into `out`. The companion solve of this vector is the estimate.
+pub(crate) fn tr_bdf2_error_rhs(g: &CsrMatrix, v: [&[f64]; 3], u: [&[f64]; 3], out: &mut [f64]) {
+    opera_simd::weighted_sum3(
+        out,
+        u,
+        [TR_BDF2_ERR_OLD, TR_BDF2_ERR_MID, TR_BDF2_ERR_NEW],
+        opera_simd::active(),
+    );
+    g.matvec_acc(v[0], -TR_BDF2_ERR_OLD, out);
+    g.matvec_acc(v[1], -TR_BDF2_ERR_MID, out);
+    g.matvec_acc(v[2], -TR_BDF2_ERR_NEW, out);
+}
+
 /// Companion-matrix scale `s` in `G + s·C` for a scheme at step `h`.
 pub(crate) fn companion_scale(method: IntegrationMethod, time_step: f64) -> f64 {
     match method {
@@ -338,6 +353,11 @@ impl CompanionSystem {
         self.method
     }
 
+    /// The factor of the companion matrix `G + s·C`.
+    pub(crate) fn factor(&self) -> &MatrixFactor {
+        &self.factor
+    }
+
     /// Solves the companion system for an arbitrary right-hand side,
     /// allocating the result. In hot loops prefer
     /// [`CompanionSystem::solve_in_place`].
@@ -484,15 +504,7 @@ impl CompanionSystem {
         assert_eq!(v_k.len(), err.len(), "v_k dimension mismatch");
         assert_eq!(v_mid.len(), err.len(), "v_mid dimension mismatch");
         assert_eq!(v_k1.len(), err.len(), "v_k1 dimension mismatch");
-        opera_simd::weighted_sum3(
-            err,
-            [u_k, u_mid, u_k1],
-            [TR_BDF2_ERR_OLD, TR_BDF2_ERR_MID, TR_BDF2_ERR_NEW],
-            opera_simd::active(),
-        );
-        self.g.matvec_acc(v_k, -TR_BDF2_ERR_OLD, err);
-        self.g.matvec_acc(v_mid, -TR_BDF2_ERR_MID, err);
-        self.g.matvec_acc(v_k1, -TR_BDF2_ERR_NEW, err);
+        tr_bdf2_error_rhs(&self.g, [v_k, v_mid, v_k1], [u_k, u_mid, u_k1], err);
         self.factor.solve_in_place(err, ws);
     }
 

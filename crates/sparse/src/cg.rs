@@ -5,14 +5,16 @@
 //! solvers with appropriate preconditioners can be used instead. This module
 //! provides a standard preconditioned CG for symmetric positive definite
 //! systems together with Jacobi and zero-fill incomplete Cholesky
-//! preconditioners.
+//! preconditioners. [`solve_into`] is the allocation-free form: it borrows
+//! its iteration vectors and any preconditioner scratch from a
+//! [`SolveWorkspace`].
 
-use crate::{CscMatrix, CsrMatrix, Result, SparseError, TripletMatrix};
+use crate::{CscMatrix, CsrMatrix, Result, SolveWorkspace, SparseError, TripletMatrix};
 
 /// A symmetric positive definite preconditioner `M ≈ A` applied as `z = M⁻¹ r`.
 pub trait Preconditioner {
-    /// Applies the preconditioner to a residual vector.
-    fn apply(&self, r: &[f64]) -> Vec<f64>;
+    /// Writes `M⁻¹ r` into `z`, borrowing any scratch from `ws`.
+    fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace);
 }
 
 /// The identity preconditioner (plain CG).
@@ -20,8 +22,8 @@ pub trait Preconditioner {
 pub struct IdentityPreconditioner;
 
 impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        z.copy_from_slice(r);
     }
 }
 
@@ -55,8 +57,10 @@ impl JacobiPreconditioner {
 }
 
 impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.iter().zip(&self.inv_diag).map(|(x, d)| x * d).collect()
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        for ((zi, x), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+            *zi = x * d;
+        }
     }
 }
 
@@ -147,11 +151,10 @@ impl IncompleteCholesky {
 }
 
 impl Preconditioner for IncompleteCholesky {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let mut z = r.to_vec();
-        crate::triangular::solve_lower_csc(&self.l, &mut z);
-        crate::triangular::solve_lower_transpose_csc(&self.l, &mut z);
-        z
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        z.copy_from_slice(r);
+        crate::triangular::solve_lower_csc(&self.l, z);
+        crate::triangular::solve_lower_transpose_csc(&self.l, z);
     }
 }
 
@@ -184,7 +187,17 @@ pub struct CgSolution {
     pub relative_residual: f64,
 }
 
+/// Convergence record of a [`solve_into`] call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CgConvergence {
+    /// Number of iterations performed.
+    pub iterations: usize,
+    /// Final relative residual.
+    pub relative_residual: f64,
+}
+
 /// Solves the SPD system `A·x = b` with preconditioned conjugate gradient.
+/// Allocating wrapper around [`solve_into`].
 ///
 /// # Errors
 ///
@@ -216,39 +229,100 @@ pub fn solve(
     preconditioner: &impl Preconditioner,
     options: CgOptions,
 ) -> Result<CgSolution> {
+    let mut x = vec![0.0; b.len()];
+    let convergence = solve_into(
+        a,
+        b,
+        &mut x,
+        preconditioner,
+        options,
+        &mut SolveWorkspace::new(),
+    )?;
+    Ok(CgSolution {
+        x,
+        iterations: convergence.iterations,
+        relative_residual: convergence.relative_residual,
+    })
+}
+
+/// Solves `A·x = b` from a zero start into `x`, borrowing the iteration
+/// vectors (and the preconditioner's scratch) from `ws`: once the workspace
+/// is warm, a solve performs zero heap allocations. Bit-identical to
+/// [`solve`].
+///
+/// # Errors
+///
+/// Same contract as [`solve`]; `x` holds the last iterate when the
+/// iteration does not converge.
+pub fn solve_into(
+    a: &CsrMatrix,
+    b: &[f64],
+    x: &mut [f64],
+    preconditioner: &impl Preconditioner,
+    options: CgOptions,
+    ws: &mut SolveWorkspace,
+) -> Result<CgConvergence> {
     let _span = opera_trace::span("cg.solve");
     if a.nrows() != a.ncols() {
         return Err(SparseError::NotSquare {
             shape: (a.nrows(), a.ncols()),
         });
     }
-    if b.len() != a.nrows() {
+    if b.len() != a.nrows() || x.len() != b.len() {
         return Err(SparseError::DimensionMismatch {
             op: "cg::solve",
             left: (a.nrows(), a.ncols()),
             right: (b.len(), 1),
         });
     }
-    let n = b.len();
+    x.fill(0.0);
     let norm_b = dot(b, b).sqrt();
     if norm_b == 0.0 {
-        return Ok(CgSolution {
-            x: vec![0.0; n],
+        return Ok(CgConvergence {
             iterations: 0,
             relative_residual: 0.0,
         });
     }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = preconditioner.apply(&r);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
+    let n = b.len();
+    let mut r = ws.take_vector(n);
+    let mut z = ws.take_vector(n);
+    let mut p = ws.take_vector(n);
+    let mut ap = ws.take_vector(n);
+    r.copy_from_slice(b);
+    let result = iterate(
+        a,
+        norm_b,
+        x,
+        [&mut r, &mut z, &mut p, &mut ap],
+        preconditioner,
+        options,
+        ws,
+    );
+    for v in [ap, p, z, r] {
+        ws.give_back(v);
+    }
+    result
+}
+
+/// The preconditioned CG iteration of [`solve_into`] on its borrowed
+/// vectors, with `r` holding `b` and `x` zero on entry.
+fn iterate(
+    a: &CsrMatrix,
+    norm_b: f64,
+    x: &mut [f64],
+    [r, z, p, ap]: [&mut [f64]; 4],
+    preconditioner: &impl Preconditioner,
+    options: CgOptions,
+    ws: &mut SolveWorkspace,
+) -> Result<CgConvergence> {
+    preconditioner.apply_into(r, z, ws);
+    p.copy_from_slice(z);
+    let mut rz = dot(r, z);
 
     for iter in 0..options.max_iterations {
         opera_trace::count("cg.iterations", 1);
-        a.matvec_into(&p, &mut ap);
-        let pap = dot(&p, &ap);
+        a.matvec_into(p, ap);
+        let pap = dot(p, ap);
         if pap <= 0.0 {
             return Err(SparseError::NotPositiveDefinite {
                 column: iter,
@@ -256,27 +330,26 @@ pub fn solve(
             });
         }
         let alpha = rz / pap;
-        for i in 0..n {
+        for i in 0..x.len() {
             x[i] += alpha * p[i];
             r[i] -= alpha * ap[i];
         }
-        let res = dot(&r, &r).sqrt() / norm_b;
+        let res = dot(r, r).sqrt() / norm_b;
         if res < options.tolerance {
-            return Ok(CgSolution {
-                x,
+            return Ok(CgConvergence {
                 iterations: iter + 1,
                 relative_residual: res,
             });
         }
-        z = preconditioner.apply(&r);
-        let rz_new = dot(&r, &z);
+        preconditioner.apply_into(r, z, ws);
+        let rz_new = dot(r, z);
         let beta = rz_new / rz;
         rz = rz_new;
-        for i in 0..n {
+        for i in 0..x.len() {
             p[i] = z[i] + beta * p[i];
         }
     }
-    let res = dot(&r, &r).sqrt() / norm_b;
+    let res = dot(r, r).sqrt() / norm_b;
     Err(SparseError::DidNotConverge {
         iterations: options.max_iterations,
         residual: res,
@@ -389,6 +462,22 @@ mod tests {
         .unwrap();
         assert_eq!(sol.iterations, 0);
         assert!(sol.x.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn warm_solve_into_allocates_nothing_and_matches_solve() {
+        let a = laplacian_2d(8, 8, 0.1);
+        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i * 5 % 9) as f64) - 4.0).collect();
+        let ic = IncompleteCholesky::new(&a).unwrap();
+        let reference = solve(&a, &b, &ic, CgOptions::default()).unwrap();
+        let mut ws = SolveWorkspace::new();
+        let mut x = vec![1.0; a.nrows()];
+        solve_into(&a, &b, &mut x, &ic, CgOptions::default(), &mut ws).unwrap();
+        let warm = ws.allocation_count();
+        let convergence = solve_into(&a, &b, &mut x, &ic, CgOptions::default(), &mut ws).unwrap();
+        assert_eq!(ws.allocation_count(), warm);
+        assert_eq!(convergence.iterations, reference.iterations);
+        assert_eq!(x, reference.x);
     }
 
     #[test]

@@ -582,8 +582,24 @@ impl CholeskyFactor {
     /// Panics if the panel row count does not match the matrix dimension.
     pub fn solve_panel(&self, b: &mut Panel, ws: &mut SolveWorkspace) {
         assert_eq!(b.nrows(), self.n, "panel row count mismatch");
+        self.solve_columns_in_place(b.data_mut(), ws);
+    }
+
+    /// [`CholeskyFactor::solve_panel`] on a borrowed column-major buffer of
+    /// `k` stacked right-hand sides (`b.len() == k·n`), so callers holding
+    /// stacked block vectors need not wrap them in a [`Panel`]. Each column
+    /// is bit-identical to [`CholeskyFactor::solve`] on that column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the matrix dimension.
+    pub fn solve_columns_in_place(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
         let n = self.n;
-        let k = b.ncols();
+        assert!(
+            n > 0 && b.len().is_multiple_of(n),
+            "stacked rhs length must be a multiple of the dimension"
+        );
+        let k = b.len() / n;
         opera_trace::count("panel.solves", 1);
         opera_trace::count("panel.columns", k as u64);
         let backend = crate::simd::panel_backend();
@@ -598,22 +614,21 @@ impl CholeskyFactor {
                 &self.l_data,
                 n,
                 self.perm.as_slice(),
-                b.data_mut(),
+                b,
                 backend,
             );
             return;
         }
         let y = ws.scratch(n * k);
         let perm = self.perm.as_slice();
-        for (y_col, b_col) in y.chunks_exact_mut(n).zip(b.columns()) {
+        for (y_col, b_col) in y.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
             for (yi, &p) in y_col.iter_mut().zip(perm) {
                 *yi = b_col[p];
             }
         }
         lower_panel_raw(&self.l_indptr, &self.l_indices, &self.l_data, n, y);
         lower_transpose_panel_raw(&self.l_indptr, &self.l_indices, &self.l_data, n, y);
-        for (j, y_col) in y.chunks_exact(n).enumerate() {
-            let b_col = b.col_mut(j);
+        for (y_col, b_col) in y.chunks_exact(n).zip(b.chunks_exact_mut(n)) {
             for (yi, &p) in y_col.iter().zip(perm) {
                 b_col[p] = *yi;
             }

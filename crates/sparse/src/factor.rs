@@ -115,6 +115,31 @@ impl MatrixFactor {
             MatrixFactor::Lu(f) => f.solve_panel(b, ws),
         }
     }
+
+    /// Solves `A·X = B` in place for `k` right-hand sides stacked
+    /// column-major in `b` (`b.len() == k·n`). Cholesky factors run the
+    /// blocked panel kernels on the buffer; LU factors solve column by
+    /// column. Either way each column is bit-identical to
+    /// [`MatrixFactor::solve`] on that column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the matrix dimension.
+    pub fn solve_columns_in_place(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
+        match self {
+            MatrixFactor::Cholesky(f) => f.solve_columns_in_place(b, ws),
+            MatrixFactor::Lu(f) => {
+                let n = f.dim();
+                assert!(
+                    n > 0 && b.len().is_multiple_of(n),
+                    "stacked rhs length must be a multiple of the dimension"
+                );
+                for column in b.chunks_exact_mut(n) {
+                    f.solve_in_place(column, ws);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -179,9 +179,18 @@ impl Panel {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Iterative solvers need whole vectors besides the permutation scratch:
+/// [`SolveWorkspace::take_vector`] lends one from a pool and
+/// [`SolveWorkspace::give_back`] returns it, so nested solves that take and
+/// return their vectors in stack order reuse the same buffers every call.
+/// Panel solves that fan columns out over worker threads borrow one child
+/// workspace per worker from [`SolveWorkspace::workers`].
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     buf: opera_simd::AlignedVec,
+    vectors: Vec<Vec<f64>>,
+    workers: Vec<SolveWorkspace>,
     allocations: usize,
 }
 
@@ -196,7 +205,7 @@ impl SolveWorkspace {
     pub fn with_capacity(len: usize) -> Self {
         SolveWorkspace {
             buf: opera_simd::AlignedVec::zeroed(len),
-            allocations: 0,
+            ..SolveWorkspace::default()
         }
     }
 
@@ -212,11 +221,78 @@ impl SolveWorkspace {
         &mut self.buf.as_mut_slice()[..len]
     }
 
-    /// How many times the workspace had to grow its buffer. Constant across
-    /// calls once the workspace is warm — the zero-steady-state-allocations
-    /// test hook.
+    /// Lends a zero-filled vector of exactly `len` values from the pool,
+    /// growing (and counting the growth) only when the pooled buffer is too
+    /// small. Return it with [`SolveWorkspace::give_back`].
+    pub fn take_vector(&mut self, len: usize) -> Vec<f64> {
+        let mut v = self.vectors.pop().unwrap_or_default();
+        if v.capacity() < len {
+            self.allocations += 1;
+            opera_trace::count("workspace.allocations", 1);
+        }
+        v.clear();
+        v.resize(len, 0.0);
+        v
+    }
+
+    /// Grows the pool to at least `count` vectors of capacity `len` and the
+    /// scratch buffer to `scratch_len` values, counting each growth, so a
+    /// solver whose working set depends on the data (an iterative solve
+    /// that may return before it iterates) can claim all of it up front.
+    pub fn reserve(&mut self, count: usize, len: usize, scratch_len: usize) {
+        for v in &mut self.vectors {
+            if v.capacity() < len {
+                v.reserve_exact(len - v.len());
+                self.allocations += 1;
+                opera_trace::count("workspace.allocations", 1);
+            }
+        }
+        while self.vectors.len() < count {
+            self.vectors.push(Vec::with_capacity(len));
+            self.allocations += 1;
+            opera_trace::count("workspace.allocations", 1);
+        }
+        self.scratch(scratch_len);
+    }
+
+    /// Returns a vector lent by [`SolveWorkspace::take_vector`] to the pool.
+    pub fn give_back(&mut self, v: Vec<f64>) {
+        self.vectors.push(v);
+    }
+
+    /// Runs `f` on a vector of `len` values lent by
+    /// [`SolveWorkspace::take_vector`], and returns the vector to the pool
+    /// afterwards whatever `f` returns.
+    pub fn with_vector<T>(
+        &mut self,
+        len: usize,
+        f: impl FnOnce(&mut [f64], &mut SolveWorkspace) -> T,
+    ) -> T {
+        let mut v = self.take_vector(len);
+        let out = f(&mut v, self);
+        self.give_back(v);
+        out
+    }
+
+    /// One child workspace per worker, created on first use and kept, so a
+    /// panel solve can hand each worker thread its own scratch.
+    pub fn workers(&mut self, count: usize) -> &mut [SolveWorkspace] {
+        if self.workers.len() < count {
+            self.workers.resize_with(count, SolveWorkspace::default);
+        }
+        &mut self.workers[..count]
+    }
+
+    /// How many times the workspace (or one of its worker workspaces) had
+    /// to grow a buffer. Constant across calls once the workspace is warm —
+    /// the zero-steady-state-allocations test hook.
     pub fn allocation_count(&self) -> usize {
         self.allocations
+            + self
+                .workers
+                .iter()
+                .map(SolveWorkspace::allocation_count)
+                .sum::<usize>()
     }
 }
 
@@ -298,5 +374,32 @@ mod tests {
         let mut sized = SolveWorkspace::with_capacity(16);
         sized.scratch(16);
         assert_eq!(sized.allocation_count(), 0);
+    }
+
+    #[test]
+    fn pooled_vectors_and_workers_count_growths_only() {
+        let mut ws = SolveWorkspace::new();
+        // Stack-ordered take/give-back reuses the same two buffers.
+        for _ in 0..3 {
+            let mut a = ws.take_vector(6);
+            let b = ws.take_vector(6);
+            assert!(a.iter().chain(&b).all(|&v| v == 0.0));
+            a[0] = 1.0;
+            ws.give_back(b);
+            ws.give_back(a);
+        }
+        assert_eq!(ws.allocation_count(), 2);
+        assert_eq!(ws.take_vector(6), vec![0.0; 6], "lent vectors are zeroed");
+        // Reserving what the pool already holds is free.
+        ws.reserve(1, 6, 0);
+        assert_eq!(ws.allocation_count(), 2);
+        ws.reserve(3, 6, 0);
+        assert_eq!(ws.allocation_count(), 4);
+        let _ = (ws.take_vector(6), ws.take_vector(6), ws.take_vector(6));
+        assert_eq!(ws.allocation_count(), 4);
+        // Worker workspaces fold their growths into the parent's count.
+        ws.workers(2)[1].scratch(4);
+        assert_eq!(ws.workers(1).len(), 1);
+        assert_eq!(ws.allocation_count(), 5);
     }
 }

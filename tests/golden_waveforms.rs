@@ -22,6 +22,7 @@
 
 use opera::adaptive::{solve_transient_adaptive, AdaptiveOptions};
 use opera::engine::{OperaEngine, Scenario};
+use opera::solver::{BLOCK_JACOBI_CG, DIRECT_CHOLESKY};
 use opera::transient::{solve_transient, IntegrationMethod, TransientOptions, TransientSolution};
 use opera_sparse::{CsrMatrix, TripletMatrix};
 
@@ -360,13 +361,21 @@ fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_pulse_edge() {
 #[test]
 fn golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine() {
     let _guard = opera_trace::test_guard();
-    for deck in ["stiff_rc.sp", "pulse_edge.sp"] {
+    // The direct backend's family analyses the augmented companion pattern,
+    // the CG backend's family the nominal one: once per engine either way.
+    let decks = ["stiff_rc.sp", "pulse_edge.sp"];
+    for (deck, solver) in decks
+        .into_iter()
+        .flat_map(|deck| [(deck, DIRECT_CHOLESKY), (deck, BLOCK_JACOBI_CG)])
+    {
         opera_trace::reset();
         opera_trace::enable();
 
         let engine = OperaEngine::for_netlist(fixture(deck))
             .unwrap()
             .order(2)
+            .solver_name(solver)
+            .unwrap()
             .adaptive(AdaptiveOptions::with_rel_tol(1e-4))
             .build()
             .unwrap();
@@ -391,27 +400,27 @@ fn golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine() {
         assert_eq!(
             snapshot.counter("transient.symbolic_analyses"),
             1,
-            "deck {deck}: engine must run exactly one symbolic analysis"
+            "deck {deck} ({solver}): engine must run exactly one symbolic analysis"
         );
-        assert_eq!(stats.symbolic_analyses, 1, "deck {deck}");
+        assert_eq!(stats.symbolic_analyses, 1, "deck {deck} ({solver})");
         let refactorizations = snapshot.counter("transient.refactorizations");
         assert!(
             refactorizations >= 1,
-            "deck {deck}: step-size changes must show up as numeric refactorisations"
+            "deck {deck} ({solver}): step-size changes must show up as numeric refactorisations"
         );
         assert_eq!(
             snapshot.counter("transient.adaptive.steps_attempted"),
             stats.steps_attempted,
-            "deck {deck}"
+            "deck {deck} ({solver})"
         );
         assert_eq!(
             snapshot.counter("transient.adaptive.steps_rejected"),
             stats.steps_rejected,
-            "deck {deck}"
+            "deck {deck} ({solver})"
         );
         assert!(
             snapshot.span_count("transient.adaptive") >= 1,
-            "deck {deck}"
+            "deck {deck} ({solver})"
         );
     }
 }

@@ -4,9 +4,16 @@
 //! statistics bit-identical to K independent one-shot runs, each on a fresh
 //! engine that rebuilds everything from scratch.
 
+use std::sync::Arc;
+
+use opera::adaptive::AdaptiveOptions;
 use opera::engine::{EngineBuilder, OperaEngine, Scenario};
-use opera::solver::{BLOCK_JACOBI_CG, LEFT_LOOKING_LU};
+use opera::solver::{BlockJacobiCg, BLOCK_JACOBI_CG, DIRECT_CHOLESKY, LEFT_LOOKING_LU};
+use opera::transient::IntegrationMethod;
+use opera::{OperaError, StochasticSolution};
 use opera_grid::GridSpec;
+use opera_sparse::SparseError;
+use opera_variation::{StochasticGridModel, VariationSpec};
 
 /// The small demo flow: five 0.2 ns steps on a `nodes`-node test grid with a
 /// 40-sample Monte Carlo validation.
@@ -101,7 +108,7 @@ fn solver_backends_are_interchangeable_through_the_engine_builder() {
         let engine = builder.build().unwrap();
         engine.run_scenario(&Scenario::default()).unwrap().report
     };
-    let direct = run(demo(110));
+    let direct = run(demo(110).solver_name(DIRECT_CHOLESKY).unwrap());
     for backend in [BLOCK_JACOBI_CG, LEFT_LOOKING_LU] {
         let report = run(demo(110).solver_name(backend).unwrap());
         // Same grid and seeds; only the augmented-system solver differs, so
@@ -110,5 +117,108 @@ fn solver_backends_are_interchangeable_through_the_engine_builder() {
             / direct.opera.worst_mean_drop;
         assert!(rel < 1e-6, "{backend}: worst drop differs by {rel}");
         assert_eq!(report.distribution.node, direct.distribution.node);
+    }
+}
+
+/// Largest gaps in mean and σ between two solutions on the same time grid,
+/// over every node and time point.
+fn mean_and_sigma_gaps(a: &StochasticSolution, b: &StochasticSolution) -> (f64, f64) {
+    assert_eq!(a.times(), b.times());
+    let mut gaps = (0.0f64, 0.0f64);
+    for k in 0..a.times().len() {
+        for node in 0..a.node_count() {
+            gaps.0 = gaps.0.max((a.mean_at(k, node) - b.mean_at(k, node)).abs());
+            gaps.1 = gaps
+                .1
+                .max((a.std_dev_at(k, node) - b.std_dev_at(k, node)).abs());
+        }
+    }
+    gaps
+}
+
+/// The direct backend is the oracle of the default one: on a small seeded
+/// grid the engine default (mean-preconditioned CG) and `direct-cholesky`
+/// agree at orders 1–3, in mean and σ, for every fixed-step scheme and for
+/// adaptive TR-BDF2.
+#[test]
+fn default_backend_matches_the_direct_oracle_at_orders_one_to_three() {
+    let grid = GridSpec::small_test(120).with_seed(9).build().unwrap();
+    let vdd = grid.vdd();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    let builder = |order: u32| {
+        OperaEngine::for_model(model.clone())
+            .order(order)
+            .time_step(0.1e-9)
+            .end_time(1.0e-9)
+    };
+    let direct = |builder: EngineBuilder| builder.solver_name(DIRECT_CHOLESKY).unwrap();
+    for order in 1..=3 {
+        for method in [
+            IntegrationMethod::BackwardEuler,
+            IntegrationMethod::Trapezoidal,
+            IntegrationMethod::TrBdf2,
+        ] {
+            let solve = |builder: EngineBuilder| {
+                builder
+                    .integration_method(method)
+                    .build()
+                    .unwrap()
+                    .solve()
+                    .unwrap()
+            };
+            let default = solve(builder(order));
+            let oracle = solve(direct(builder(order)));
+            let (mean_gap, sigma_gap) = mean_and_sigma_gaps(&default, &oracle);
+            assert!(
+                mean_gap < 1e-8 * vdd && sigma_gap < 1e-8 * vdd,
+                "order {order}, {method:?}: mean gap {mean_gap:.3e} V, σ gap {sigma_gap:.3e} V"
+            );
+        }
+        // Adaptive TR-BDF2: each backend's controller picks its own step
+        // sequence, so the two agree to the engine-level golden budget
+        // (2 % of the worst mean drop, at the golden suite's rel_tol 1e-6)
+        // rather than to solver tolerance.
+        let adaptive = AdaptiveOptions::with_rel_tol(1e-6);
+        let solve = |builder: EngineBuilder| {
+            builder
+                .adaptive(adaptive.clone())
+                .build()
+                .unwrap()
+                .solve()
+                .unwrap()
+        };
+        let default = solve(builder(order));
+        let oracle = solve(direct(builder(order)));
+        let (_, _, drop) = oracle.worst_mean_drop(vdd);
+        let (mean_gap, sigma_gap) = mean_and_sigma_gaps(&default, &oracle);
+        assert!(
+            mean_gap < 2e-2 * drop && sigma_gap < 2e-2 * drop,
+            "order {order}, adaptive: mean gap {mean_gap:.3e} V, σ gap {sigma_gap:.3e} V \
+             (worst drop {drop:.3e} V)"
+        );
+    }
+}
+
+/// A CG solve that runs out of iterations fails through the engine with a
+/// typed error carrying its residual, instead of returning numbers.
+#[test]
+fn starved_cg_fails_with_a_typed_non_convergence() {
+    let starved = BlockJacobiCg {
+        max_iterations: 2,
+        ..BlockJacobiCg::default()
+    };
+    let engine = demo(110).solver(Arc::new(starved)).build().unwrap();
+    match engine.solve() {
+        Err(OperaError::Sparse(SparseError::DidNotConverge {
+            iterations,
+            residual,
+        })) => {
+            assert_eq!(iterations, 2);
+            assert!(
+                residual.is_finite() && residual > starved.tolerance,
+                "residual {residual:e}"
+            );
+        }
+        other => panic!("expected a typed non-convergence, got {other:?}"),
     }
 }

@@ -25,11 +25,11 @@ fn small_engine(solver: &str) -> OperaEngine {
 }
 
 /// The CI-enforced hot-loop contract: once the solver workspace is warm, a
-/// steady-state transient step performs zero heap allocations, for both
-/// direct backends.
+/// steady-state transient step performs zero heap allocations, for every
+/// built-in backend (CG borrows its iteration vectors from the workspace).
 #[test]
 fn steady_state_transient_steps_allocate_nothing() {
-    for solver in ["direct-cholesky", "left-looking-lu"] {
+    for solver in ["direct-cholesky", "left-looking-lu", "block-jacobi-cg"] {
         let engine = small_engine(solver);
         assert_eq!(
             engine.steady_state_step_allocations().unwrap(),
@@ -42,31 +42,39 @@ fn steady_state_transient_steps_allocate_nothing() {
 /// Panel-batched `run_batch` must produce reports bit-identical to solving
 /// every scenario alone, including when the batch mixes panel-eligible
 /// scenarios (engine time grid) with ones that need a private factorisation
-/// (time-step override).
+/// (time-step override). The CG backend steps its panel columns in parallel,
+/// so it is checked at one and at two worker threads.
 #[test]
 fn mixed_batches_match_individual_scenario_runs_bit_for_bit() {
-    let engine = small_engine("direct-cholesky");
     let scenarios = vec![
         Scenario::named("light").with_current_scale(0.75),
         Scenario::named("nominal"),
         Scenario::named("heavy").with_current_scale(1.5),
         Scenario::named("fine").with_time_step(0.125e-9),
     ];
-    let batch = engine.run_batch(&scenarios).unwrap();
-    assert_eq!(batch.len(), scenarios.len());
-    for (scenario, batched) in scenarios.iter().zip(&batch) {
-        let alone = engine.run_scenario(scenario).unwrap();
-        assert_eq!(batched.label, alone.label);
-        assert_eq!(
-            batched.report.opera, alone.report.opera,
-            "{}: drop summary differs",
-            scenario.label
-        );
-        assert_eq!(
-            batched.report.errors, alone.report.errors,
-            "{}: error summary differs",
-            scenario.label
-        );
+    for (solver, parallelism) in [
+        ("direct-cholesky", Parallelism::Max),
+        ("block-jacobi-cg", Parallelism::Serial),
+        ("block-jacobi-cg", Parallelism::Threads(2)),
+    ] {
+        let mut engine = small_engine(solver);
+        engine.set_parallelism(parallelism);
+        let batch = engine.run_batch(&scenarios).unwrap();
+        assert_eq!(batch.len(), scenarios.len());
+        for (scenario, batched) in scenarios.iter().zip(&batch) {
+            let alone = engine.run_scenario(scenario).unwrap();
+            assert_eq!(batched.label, alone.label);
+            assert_eq!(
+                batched.report.opera, alone.report.opera,
+                "{solver} at {parallelism:?}, {}: drop summary differs",
+                scenario.label
+            );
+            assert_eq!(
+                batched.report.errors, alone.report.errors,
+                "{solver} at {parallelism:?}, {}: error summary differs",
+                scenario.label
+            );
+        }
     }
 }
 

@@ -9,15 +9,17 @@
 //! that perturbs a single mantissa bit of the fixed-step paths fails here.
 //!
 //! Adaptive stepping is opt-in: the defaults are also pinned (backward
-//! Euler, no adaptive options on a default-built engine).
+//! Euler, no adaptive options on a default-built engine). The direct
+//! backend's adaptive TR-BDF2 path is pinned as well, so driving the
+//! controller through the generic solver interface cannot move it.
 //!
 //! The Galerkin solve is pinned too: the engine's polynomial-chaos
 //! coefficients must stay bit-identical to those of the one-shot solver
 //! front end it replaced, for every fixed-step scheme and both solver
 //! families.
 
-use opera::adaptive::AdaptiveOptions;
-use opera::engine::OperaEngine;
+use opera::adaptive::{solve_transient_adaptive, AdaptiveOptions};
+use opera::engine::{OperaEngine, Scenario};
 use opera::solver::{BLOCK_JACOBI_CG, DIRECT_CHOLESKY};
 use opera::transient::{
     solve_transient, CompanionFamily, CompanionSystem, IntegrationMethod, TransientOptions,
@@ -153,6 +155,96 @@ fn galerkin_coefficients_are_bit_identical_to_the_one_shot_pins() {
             "{method:?}/{solver}: Galerkin coefficient hash changed (got {hash:#018x})"
         );
     }
+}
+
+/// The adaptive integrator now drives any prepared solver through
+/// `with_time_step`; on the direct backend it must still reproduce the
+/// family-driven controller bit for bit. Hashes (and controller counts)
+/// recorded from the family-driven integrator on the same 117-node grid
+/// and on the pinned RC mesh.
+#[test]
+fn direct_adaptive_tr_bdf2_is_bit_identical_to_the_family_driven_pins() {
+    let grid = GridSpec::small_test(120).with_seed(9).build().unwrap();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    let adaptive = AdaptiveOptions::with_rel_tol(1e-4);
+    let pins = [
+        (1, 0x6e67_4035_c8c9_614f_u64, [5, 5, 0, 4]),
+        (2, 0xfd97_061a_77eb_f774, [88, 45, 43, 71]),
+    ];
+    for (order, expected, counts) in pins {
+        let engine = OperaEngine::for_model(model.clone())
+            .order(order)
+            .solver_name(DIRECT_CHOLESKY)
+            .unwrap()
+            .time_step(0.1e-9)
+            .end_time(1.0e-9)
+            .adaptive(adaptive.clone())
+            .build()
+            .unwrap();
+        let (sol, stats) = engine
+            .solve_scenario_adaptive(&Scenario::default(), &adaptive)
+            .unwrap();
+        let mut coefficients = Vec::new();
+        for k in 0..sol.times().len() {
+            for i in 0..sol.basis_size() {
+                coefficients.extend((0..sol.node_count()).map(|n| sol.coefficient(k, i, n)));
+            }
+        }
+        let hash = fnv1a_bits(coefficients);
+        assert_eq!(
+            hash, expected,
+            "order {order}: adaptive coefficient hash changed (got {hash:#018x})"
+        );
+        assert_eq!(
+            [
+                stats.steps_attempted,
+                stats.steps_accepted,
+                stats.steps_rejected,
+                stats.refactorizations
+            ],
+            counts,
+            "order {order}"
+        );
+        assert_eq!(stats.symbolic_analyses, 1);
+    }
+
+    let (g, c) = pinned_circuit();
+    let options = TransientOptions {
+        time_step: 0.125,
+        end_time: 2.0,
+        method: IntegrationMethod::TrBdf2,
+    };
+    let sol = solve_transient_adaptive(
+        &g,
+        &c,
+        pinned_excitation,
+        &options,
+        &AdaptiveOptions::default(),
+    )
+    .unwrap();
+    let hash = fnv1a_bits(
+        sol.solution
+            .states()
+            .data()
+            .iter()
+            .chain(&sol.accepted_times)
+            .chain(sol.accepted_states.iter().flatten())
+            .copied(),
+    );
+    assert_eq!(
+        hash, 0xd74a_90ac_c48d_abad,
+        "deterministic adaptive hash changed (got {hash:#018x})"
+    );
+    assert_eq!(
+        [
+            sol.stats.steps_attempted,
+            sol.stats.steps_accepted,
+            sol.stats.steps_rejected,
+            sol.stats.refactorizations,
+            sol.stats.symbolic_analyses
+        ],
+        [65, 52, 13, 22, 1]
+    );
 }
 
 /// The family-built companion system must step bit-identically to a
