@@ -2,10 +2,11 @@
 //!
 //! Times the assemble/factor/step phases of the Galerkin transient across
 //! chaos orders, measures the blocked multi-RHS panel engine against the
-//! per-column reference path, benchmarks the fill-reducing orderings on the
-//! paper grid and the netlist fixtures, compares fixed-step TR-BDF2 against
-//! the LTE-driven adaptive controller on the same grid (step counts, wall
-//! time, and the one-symbolic-analysis refactorisation contract), compares
+//! per-column reference path, benchmarks the AMD fill-reducing ordering
+//! against the natural order on the paper grid and the netlist fixtures,
+//! compares fixed-step TR-BDF2 against the LTE-driven adaptive controller on
+//! the same grid (step counts, wall time, and the one-symbolic-analysis
+//! refactorisation contract), compares
 //! the scalar reference kernels against the best runtime-detected SIMD
 //! backend (panel transient solve, triangular panel solves, the Welford
 //! moment fold — each pair verified bit-identical before its speedup is
@@ -448,16 +449,16 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> opera::Result<T>) -> Result<(T
 fn ordering_name(choice: OrderingChoice) -> &'static str {
     match choice {
         OrderingChoice::Natural => "natural",
-        OrderingChoice::ReverseCuthillMckee => "rcm",
-        OrderingChoice::MinimumDegree => "minimum-degree",
         OrderingChoice::ApproximateMinimumDegree => "amd",
     }
 }
 
-/// RCM vs exact minimum degree vs AMD on the paper-grid companion matrix and
-/// the netlist fixtures — the numbers behind the `OrderingChoice` default.
+/// AMD vs the natural (identity) order on the paper-grid companion matrix
+/// and the netlist fixtures — the numbers behind the `OrderingChoice`
+/// default. (The committed `BENCH_6.json` also records the reverse
+/// Cuthill–McKee and exact minimum-degree orderings that AMD replaced.)
 fn ordering_sweep(grid: &opera_grid::PowerGrid) -> Result<Vec<Json>, String> {
-    println!("-- orderings: RCM vs minimum degree vs AMD");
+    println!("-- orderings: AMD vs natural");
     let companion = |g: &CsrMatrix, c: &CsrMatrix| -> Result<CsrMatrix, String> {
         g.add_scaled(&c.scaled(1.0 / 0.05e-9), 1.0)
             .map_err(|e| e.to_string())
@@ -482,8 +483,7 @@ fn ordering_sweep(grid: &opera_grid::PowerGrid) -> Result<Vec<Json>, String> {
     let mut entries = Vec::new();
     for (label, matrix) in &matrices {
         for choice in [
-            OrderingChoice::ReverseCuthillMckee,
-            OrderingChoice::MinimumDegree,
+            OrderingChoice::Natural,
             OrderingChoice::ApproximateMinimumDegree,
         ] {
             let name = ordering_name(choice);

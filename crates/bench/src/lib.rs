@@ -25,7 +25,6 @@
 //! (hours-long) paper-scale reproduction.
 
 use opera::engine::{EngineBuilder, ExperimentReport, OperaEngine, Scenario};
-use opera::solver::BLOCK_JACOBI_CG;
 use opera::{OperaError, Parallelism};
 use opera_grid::GridSpec;
 
@@ -125,7 +124,6 @@ pub fn table1_config(
 ) -> Result<EngineBuilder, OperaError> {
     Ok(
         OperaEngine::for_grid(GridSpec::paper_grid(row)?.scaled_nodes(scale))?
-            .solver_name(BLOCK_JACOBI_CG)?
             .mc_samples(mc_samples)
             .mc_seed(42 + row as u64)
             .parallelism(parallelism),
@@ -192,6 +190,7 @@ pub fn ascii_histogram(label: &str, centers: &[f64], percentages: &[f64]) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opera::solver::BLOCK_JACOBI_CG;
 
     #[test]
     fn env_settings_round_trip() {

@@ -348,8 +348,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the solver backend by registered name (see
-    /// [`crate::solver::available_backends`]).
+    /// Sets the solver backend by name (see [`backend_by_name`]).
     ///
     /// # Errors
     ///

@@ -16,9 +16,9 @@
 //!   ([`OperaEngine::for_grid`]) or from a SPICE-style deck
 //!   ([`OperaEngine::for_netlist`], grammar in `docs/NETLIST.md`) — netlist
 //!   engines name their nodes in every report.
-//! * [`solver`] — pluggable [`SolverBackend`]s for the
-//!   augmented system (direct Cholesky, block-Jacobi preconditioned CG,
-//!   left-looking LU) plus a name-based registry for custom backends.
+//! * [`solver`] — pluggable [`SolverBackend`]s for the augmented system:
+//!   block-Jacobi preconditioned CG (the default) and direct Cholesky, both
+//!   also selectable by name; custom backends plug in by value.
 //! * [`transient`] — deterministic transient MNA solver (backward Euler,
 //!   trapezoidal or L-stable TR-BDF2) used both for nominal analysis and
 //!   inside the Monte Carlo baseline.
@@ -111,7 +111,7 @@ pub use error::OperaError;
 pub use galerkin::GalerkinSystem;
 pub use opera_simd::Backend as SimdBackend;
 pub use parallel::Parallelism;
-pub use solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
+pub use solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
 pub use stochastic::StochasticSolution;
 pub use transient::{IntegrationMethod, TransientOptions, TransientSolution};
 

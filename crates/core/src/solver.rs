@@ -11,11 +11,12 @@
 //! [`SolverBackend`] captures phase 1 and returns a [`PreparedSolver`] that
 //! captures phase 2. The split is what lets the
 //! [`OperaEngine`](crate::engine::OperaEngine) amortise a single preparation
-//! over arbitrarily many scenarios, and it makes alternative solvers a
-//! *registration* ([`register_backend`]) instead of a match-arm edit in the
-//! transient loop.
+//! over arbitrarily many scenarios, and it lets a custom solver plug in by
+//! value ([`EngineBuilder::solver`](crate::engine::EngineBuilder::solver))
+//! instead of as a match-arm edit in the transient loop.
 //!
-//! Three backends ship with the crate:
+//! Two backends ship with the crate, both also reachable by name through
+//! [`backend_by_name`]:
 //!
 //! * [`BlockJacobiCg`] — the engine default: conjugate gradient on the
 //!   augmented system with the mean-based block preconditioner, one
@@ -24,17 +25,14 @@
 //!   appropriate pre-conditioner" remark; Ghanem & Kruger 1996, Powell &
 //!   Elman 2009). Its factor is the size of a deterministic analysis, so it
 //!   builds, re-steps and solves several times faster than the direct
-//!   backends from order 1 up (`docs/PERFORMANCE.md`).
+//!   backend from order 1 up (`docs/PERFORMANCE.md`).
 //! * [`DirectCholesky`] — sparse Cholesky of the full augmented companion
-//!   matrix, factored once and reused for every step (falls back to LU if the
-//!   matrix is not numerically SPD). The small-grid oracle of the tests.
-//! * [`LeftLookingLu`] — left-looking sparse LU with partial pivoting, the
-//!   fallback of choice when large variation magnitudes push the augmented
-//!   matrix away from positive definiteness.
+//!   matrix, factored once and reused for every step (falls back to
+//!   left-looking LU, per matrix, if the matrix is not numerically SPD). The
+//!   small-grid oracle of the tests.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use opera_sparse::cg::{self, CgOptions};
 use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SparseError};
@@ -55,7 +53,8 @@ use crate::{OperaError, Result};
 /// owns the factors and can be reused for every time step — and, through the
 /// engine, for every scenario that shares the system and time step.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
-    /// Stable identifier of the backend (the name it is registered under).
+    /// Stable identifier of the backend (for the built-in backends, the name
+    /// [`backend_by_name`] resolves).
     fn name(&self) -> &str;
 
     /// Validates the backend's own parameters.
@@ -277,7 +276,7 @@ pub trait PreparedSolver: Send + Sync {
     }
 
     /// The companion-system family behind this solver, when it has one: the
-    /// augmented `G̃ + s·C̃` family for the direct backends, the nominal
+    /// augmented `G̃ + s·C̃` family for the direct backend, the nominal
     /// `G_a + s·C_a` preconditioner family for the CG backend. Its counters
     /// tell how many symbolic analyses and numeric refactorisations the
     /// solver and every solver re-stepped from it have run.
@@ -358,24 +357,17 @@ fn for_each_column(
 }
 
 // --------------------------------------------------------------------------
-// Direct backends (Cholesky and left-looking LU).
+// Direct Cholesky backend.
 // --------------------------------------------------------------------------
 
 /// Sparse Cholesky factorisation of the full `(N+1)·n` augmented companion
 /// matrix, factored once and reused for every time step. Falls back to
 /// left-looking LU if the augmented matrix is not numerically positive
-/// definite (use [`LeftLookingLu`] to skip the Cholesky attempt entirely).
+/// definite ([`MatrixFactor::cholesky_or_lu`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectCholesky;
 
-/// Left-looking sparse LU with partial pivoting of the augmented companion
-/// matrix — for augmented systems that large variation magnitudes have pushed
-/// away from positive definiteness, where [`DirectCholesky`]'s first attempt
-/// is wasted work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LeftLookingLu;
-
-/// Factors shared by the two direct backends: a DC factor of `G̃`, the
+/// The factors of a prepared [`DirectCholesky`]: a DC factor of `G̃`, the
 /// companion family (one symbolic analysis for every step size), and the
 /// family's factored companion system for the prepared time step.
 ///
@@ -543,24 +535,6 @@ impl SolverBackend for DirectCholesky {
     }
 }
 
-impl SolverBackend for LeftLookingLu {
-    fn name(&self) -> &str {
-        LEFT_LOOKING_LU
-    }
-
-    fn prepare(
-        &self,
-        _model: &StochasticGridModel,
-        system: &GalerkinSystem,
-        transient: &TransientOptions,
-    ) -> Result<Box<dyn PreparedSolver>> {
-        let _span = opera_trace::span("solver.prepare");
-        let dc = MatrixFactor::lu(system.conductance())?;
-        let family = CompanionFamily::with_lu(system.conductance(), system.capacitance())?;
-        Ok(Box::new(DirectPrepared::new(dc, family, transient)?))
-    }
-}
-
 // --------------------------------------------------------------------------
 // Block-Jacobi preconditioned CG backend.
 // --------------------------------------------------------------------------
@@ -601,9 +575,16 @@ impl SolverBackend for BlockJacobiCg {
     }
 
     fn validate(&self) -> Result<()> {
-        if self.tolerance <= 0.0 || self.tolerance.is_nan() || self.max_iterations == 0 {
+        // A tolerance of 1 or more (or a non-finite one) is met by any
+        // initial guess, so the solve would return the guess unsolved.
+        let tolerance_ok = self.tolerance > 0.0 && self.tolerance < 1.0;
+        if !tolerance_ok || self.max_iterations == 0 {
             return Err(OperaError::InvalidOptions {
-                reason: "CG tolerance must be positive and max_iterations nonzero".to_string(),
+                reason: format!(
+                    "CG tolerance must lie in (0, 1) and max_iterations be nonzero, got \
+                     tolerance {} and max_iterations {}",
+                    self.tolerance, self.max_iterations
+                ),
             });
         }
         Ok(())
@@ -698,7 +679,7 @@ struct CgPrepared {
 
 impl CgPrepared {
     fn at_step(shared: Arc<CgShared>, time_step: f64, method: IntegrationMethod) -> Result<Self> {
-        // Matches the direct backends' companion matrix for every scheme
+        // Matches the direct backend's companion matrix for every scheme
         // (TR-BDF2's two stages share the single scale 2/(γh)).
         let c_over_h = shared.c_hat.scaled(companion_scale(method, time_step));
         let a_hat = shared.g_hat.add_scaled(&c_over_h, 1.0)?;
@@ -943,88 +924,34 @@ fn cg_with_guess(
 }
 
 // --------------------------------------------------------------------------
-// Backend registry.
+// Backends by name.
 // --------------------------------------------------------------------------
 
-/// Registered name of [`DirectCholesky`].
+/// Name of [`DirectCholesky`].
 pub const DIRECT_CHOLESKY: &str = "direct-cholesky";
-/// Registered name of [`BlockJacobiCg`].
+/// Name of [`BlockJacobiCg`].
 pub const BLOCK_JACOBI_CG: &str = "block-jacobi-cg";
-/// Registered name of [`LeftLookingLu`].
-pub const LEFT_LOOKING_LU: &str = "left-looking-lu";
 
-type BackendFactory = Arc<dyn Fn() -> Arc<dyn SolverBackend> + Send + Sync>;
-
-fn registry() -> &'static Mutex<BTreeMap<String, BackendFactory>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, BackendFactory>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, BackendFactory> = BTreeMap::new();
-        map.insert(
-            DIRECT_CHOLESKY.to_string(),
-            Arc::new(|| Arc::new(DirectCholesky)),
-        );
-        map.insert(
-            BLOCK_JACOBI_CG.to_string(),
-            Arc::new(|| Arc::new(BlockJacobiCg::default())),
-        );
-        map.insert(
-            LEFT_LOOKING_LU.to_string(),
-            Arc::new(|| Arc::new(LeftLookingLu)),
-        );
-        Mutex::new(map)
-    })
-}
-
-/// Registers (or replaces) a backend factory under `name`, making it
-/// available by name through
-/// [`EngineBuilder::solver_name`](crate::engine::EngineBuilder::solver_name).
-pub fn register_backend(
-    name: &str,
-    factory: impl Fn() -> Arc<dyn SolverBackend> + Send + Sync + 'static,
-) {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(name.to_string(), Arc::new(factory));
-}
-
-/// Instantiates the backend registered under `name`.
+/// Instantiates the built-in backend called `name` ([`DIRECT_CHOLESKY`] or
+/// [`BLOCK_JACOBI_CG`], the latter with its default parameters). A custom
+/// backend plugs in by value through
+/// [`EngineBuilder::solver`](crate::engine::EngineBuilder::solver).
 ///
 /// # Errors
 ///
 /// Returns [`OperaError::InvalidOptions`] for unknown names, listing the
-/// registered backends.
+/// built-in backends.
 pub fn backend_by_name(name: &str) -> Result<Arc<dyn SolverBackend>> {
-    // Clone the factory out of the registry before invoking it, so factories
-    // may themselves consult the registry (e.g. delegating backends) without
-    // deadlocking on the mutex.
-    let factory = {
-        let guard = registry()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.get(name) {
-            Some(factory) => Arc::clone(factory),
-            None => {
-                return Err(OperaError::InvalidOptions {
-                    reason: format!(
-                        "unknown solver backend {name:?}; registered backends: {}",
-                        guard.keys().cloned().collect::<Vec<_>>().join(", ")
-                    ),
-                })
-            }
-        }
-    };
-    Ok(factory())
-}
-
-/// Names of all registered backends, sorted.
-pub fn available_backends() -> Vec<String> {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .keys()
-        .cloned()
-        .collect()
+    match name {
+        DIRECT_CHOLESKY => Ok(Arc::new(DirectCholesky)),
+        BLOCK_JACOBI_CG => Ok(Arc::new(BlockJacobiCg::default())),
+        _ => Err(OperaError::InvalidOptions {
+            reason: format!(
+                "unknown solver backend {name:?}; built-in backends: {BLOCK_JACOBI_CG}, \
+                 {DIRECT_CHOLESKY}"
+            ),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1044,45 +971,30 @@ mod tests {
     }
 
     #[test]
-    fn builtin_backends_are_registered() {
-        let names = available_backends();
-        for expected in [DIRECT_CHOLESKY, BLOCK_JACOBI_CG, LEFT_LOOKING_LU] {
-            assert!(names.iter().any(|n| n == expected), "{expected} missing");
-            assert_eq!(backend_by_name(expected).unwrap().name(), expected);
+    fn both_backend_names_round_trip_and_unknown_names_list_them() {
+        for name in [DIRECT_CHOLESKY, BLOCK_JACOBI_CG] {
+            assert_eq!(backend_by_name(name).unwrap().name(), name);
         }
-        assert!(matches!(
-            backend_by_name("no-such-backend"),
-            Err(OperaError::InvalidOptions { .. })
-        ));
+        match backend_by_name("no-such-backend") {
+            Err(OperaError::InvalidOptions { reason }) => {
+                assert!(reason.contains("no-such-backend"), "{reason}");
+                assert!(reason.contains(DIRECT_CHOLESKY), "{reason}");
+                assert!(reason.contains(BLOCK_JACOBI_CG), "{reason}");
+            }
+            other => panic!(
+                "expected InvalidOptions, got {:?}",
+                other.map(|b| b.name().to_string())
+            ),
+        }
     }
 
     #[test]
-    fn delegating_factories_may_consult_the_registry() {
-        // A factory that itself resolves another backend by name must not
-        // deadlock on the registry mutex.
-        register_backend("delegating-direct", || {
-            backend_by_name(DIRECT_CHOLESKY).expect("builtin backend")
-        });
-        let backend = backend_by_name("delegating-direct").unwrap();
-        assert_eq!(backend.name(), DIRECT_CHOLESKY);
-    }
-
-    #[test]
-    fn custom_backends_can_be_registered() {
-        register_backend("custom-direct", || Arc::new(DirectCholesky));
-        let backend = backend_by_name("custom-direct").unwrap();
-        // The factory controls the instance, not the name lookup.
-        assert_eq!(backend.name(), DIRECT_CHOLESKY);
-        assert!(available_backends().contains(&"custom-direct".to_string()));
-    }
-
-    #[test]
-    fn all_three_backends_agree_on_a_time_step() {
+    fn both_backends_agree_on_a_time_step() {
         let (model, system, transient) = prepared_setup();
         let u0 = system.excitation(&model, 0.0);
         let u1 = system.excitation(&model, transient.time_step);
         let mut states = Vec::new();
-        for name in [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG] {
+        for name in [DIRECT_CHOLESKY, BLOCK_JACOBI_CG] {
             let backend = backend_by_name(name).unwrap();
             let prepared = backend.prepare(&model, &system, &transient).unwrap();
             let a0 = prepared.solve_dc(&u0).unwrap();
@@ -1101,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_on_a_tr_bdf2_step() {
+    fn both_backends_agree_on_a_tr_bdf2_step() {
         use crate::transient::TR_BDF2_GAMMA;
         let (model, system, mut transient) = prepared_setup();
         transient.method = IntegrationMethod::TrBdf2;
@@ -1110,7 +1022,7 @@ mod tests {
         let u1 = system.excitation(&model, transient.time_step);
         let dim = u0.len();
         let mut states = Vec::new();
-        for name in [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG] {
+        for name in [DIRECT_CHOLESKY, BLOCK_JACOBI_CG] {
             let backend = backend_by_name(name).unwrap();
             let prepared = backend.prepare(&model, &system, &transient).unwrap();
             let a0 = prepared.solve_dc(&u0).unwrap();
@@ -1129,7 +1041,7 @@ mod tests {
                 .unwrap();
             if name == BLOCK_JACOBI_CG {
                 // The single-stage entry must refuse a TR-BDF2 preparation
-                // (the direct backends enforce the same contract by panic).
+                // (the direct backend enforces the same contract by panic).
                 assert!(prepared.step(&a0, &u0, &u1).is_err());
             }
             states.push(a1);
@@ -1198,6 +1110,17 @@ mod tests {
             max_iterations: 0,
         };
         assert!(bad.validate().is_err());
+        // A tolerance the initial guess always meets would skip the solve.
+        for tolerance in [f64::INFINITY, f64::NAN, 1.0, 2.0, -1e-10] {
+            let bad = BlockJacobiCg {
+                tolerance,
+                max_iterations: 10,
+            };
+            assert!(
+                matches!(bad.validate(), Err(OperaError::InvalidOptions { .. })),
+                "tolerance {tolerance} accepted"
+            );
+        }
         assert!(BlockJacobiCg::default().validate().is_ok());
     }
 }

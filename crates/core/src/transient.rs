@@ -287,22 +287,6 @@ impl CompanionSystem {
         Self::with_factoring(g, c, time_step, method, MatrixFactor::cholesky_or_lu)
     }
 
-    /// Builds the companion system with a left-looking LU factorisation,
-    /// skipping the Cholesky attempt — for matrices known (or suspected) not
-    /// to be positive definite.
-    ///
-    /// # Errors
-    ///
-    /// Returns the LU factorisation error for singular companion matrices.
-    pub fn with_lu(
-        g: &CsrMatrix,
-        c: &CsrMatrix,
-        time_step: f64,
-        method: IntegrationMethod,
-    ) -> Result<Self> {
-        Self::with_factoring(g, c, time_step, method, MatrixFactor::lu)
-    }
-
     /// Builds the companion system with a numeric-only Cholesky against a
     /// shared symbolic analysis of the companion pattern, falling back to LU
     /// for this system alone (see [`MatrixFactor::cholesky_or_lu_with`]).
@@ -646,8 +630,8 @@ const FAMILY_CACHE_CAPACITY: usize = 8;
 pub struct CompanionFamily {
     g: CsrMatrix,
     c: CsrMatrix,
-    /// Shared analysis of `G + C`; `None` for an LU-only family.
-    symbolic: Option<SymbolicCholesky>,
+    /// Shared analysis of the union pattern `G + C`.
+    symbolic: SymbolicCholesky,
     cache: Mutex<Vec<CachedFactor>>,
     symbolic_analyses: Counter,
     refactorizations: Counter,
@@ -666,32 +650,12 @@ impl CompanionFamily {
     ///
     /// Propagates pattern-union and symbolic-analysis errors.
     pub fn new(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        Self::build_family(g, c, false)
-    }
-
-    /// Prepares a family that factors every step size with left-looking LU,
-    /// skipping the shared Cholesky analysis — for matrices known not to be
-    /// positive definite. Step-size changes re-run the full LU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern-union errors.
-    pub fn with_lu(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        Self::build_family(g, c, true)
-    }
-
-    fn build_family(g: &CsrMatrix, c: &CsrMatrix, use_lu: bool) -> Result<Self> {
+        // The analysis is pattern-only: `s = 1` stands in for every positive
+        // companion scale.
+        let pattern = g.add_scaled(c, 1.0)?;
+        let symbolic = SymbolicCholesky::analyze(&pattern)?;
         let symbolic_analyses = Counter::new("transient.symbolic_analyses");
-        let symbolic = if use_lu {
-            None
-        } else {
-            // The analysis is pattern-only: `s = 1` stands in for every
-            // positive companion scale.
-            let pattern = g.add_scaled(c, 1.0)?;
-            let symbolic = SymbolicCholesky::analyze(&pattern)?;
-            symbolic_analyses.incr();
-            Some(symbolic)
-        };
+        symbolic_analyses.incr();
         Ok(CompanionFamily {
             g: g.clone(),
             c: c.clone(),
@@ -707,8 +671,8 @@ impl CompanionFamily {
         self.g.nrows()
     }
 
-    /// Number of symbolic analyses this family has run (0 for the LU
-    /// fallback, 1 otherwise — never more).
+    /// Number of symbolic analyses this family has run: always 1, whichever
+    /// step sizes it factors and whether they fall back to LU.
     pub fn symbolic_analysis_count(&self) -> u64 {
         self.symbolic_analyses.get()
     }
@@ -756,12 +720,13 @@ impl CompanionFamily {
             cache.insert(0, entry);
             return Ok(Arc::clone(&cache[0].1));
         }
-        let system = Arc::new(match &self.symbolic {
-            Some(symbolic) => {
-                CompanionSystem::with_symbolic(&self.g, &self.c, time_step, method, symbolic)?
-            }
-            None => CompanionSystem::with_lu(&self.g, &self.c, time_step, method)?,
-        });
+        let system = Arc::new(CompanionSystem::with_symbolic(
+            &self.g,
+            &self.c,
+            time_step,
+            method,
+            &self.symbolic,
+        )?);
         self.refactorizations.incr();
         cache.insert(0, (key, Arc::clone(&system)));
         cache.truncate(FAMILY_CACHE_CAPACITY);
@@ -1210,5 +1175,35 @@ mod tests {
         // The local error of an order-2 step is O(h³): halving the step must
         // shrink the estimate by far more than half.
         assert!(fine < 0.3 * coarse, "coarse {coarse:e}, fine {fine:e}");
+    }
+
+    #[test]
+    fn companion_family_falls_back_to_lu_for_an_indefinite_companion() {
+        // Symmetric G and C whose backward-Euler companion at h = 1,
+        //   G + C = [[2, 3, 0], [3, 2, 1], [0, 1, 3]],
+        // has determinant −17: nonsingular, but with one negative
+        // eigenvalue, so the shared Cholesky analysis cannot factor it.
+        let g = CsrMatrix::from_dense(3, 3, &[1.0, 3.0, 0.0, 3.0, 1.0, 1.0, 0.0, 1.0, 2.0], 0.0);
+        let c = CsrMatrix::identity(3);
+        let family = CompanionFamily::new(&g, &c).unwrap();
+        let sys = family
+            .system_for(1.0, IntegrationMethod::BackwardEuler)
+            .unwrap();
+        assert!(!sys.factor().is_cholesky(), "expected the LU fallback");
+        assert_eq!(family.symbolic_analysis_count(), 1);
+        assert_eq!(family.refactorization_count(), 1);
+
+        let v_k = [0.25, -0.5, 1.0];
+        let (u_k, u_k1) = ([0.0; 3], [1.0, -2.0, 0.5]);
+        let mut out = [0.0; 3];
+        sys.step_into(&v_k, &u_k, &u_k1, &mut out, &mut SolveWorkspace::new());
+        // (G + C)·v_{k+1} = u_{k+1} + C·v_k.
+        let companion = g.add_scaled(&c, 1.0).unwrap();
+        let rhs: Vec<f64> = u_k1.iter().zip(&v_k).map(|(u, v)| u + v).collect();
+        assert!(
+            companion.residual_inf_norm(&out, &rhs) < 1e-12,
+            "residual {}",
+            companion.residual_inf_norm(&out, &rhs)
+        );
     }
 }

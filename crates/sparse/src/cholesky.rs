@@ -21,24 +21,14 @@ use crate::{
 /// The default is [`OrderingChoice::ApproximateMinimumDegree`], the
 /// *measured* winner on the paper grids and netlist fixtures (`perf_report`'s
 /// `orderings` section; methodology and numbers in `docs/PERFORMANCE.md` §4
-/// and `docs/SPARSE.md`). AMD delivers the ~3.5× sparser factor and ~3×
-/// faster triangular solves of minimum-degree fill at an ordering cost that
-/// stays near-linear — sub-second even on the `(N+1)·n` Galerkin-augmented
-/// companion matrix where [`OrderingChoice::MinimumDegree`]'s explicit
-/// clique updates run for minutes and [`OrderingChoice::ReverseCuthillMckee`]
-/// pays its banded fill on every later solve.
+/// and `docs/SPARSE.md`). On the paper-grid companion its factor is about 4×
+/// sparser than reverse Cuthill–McKee's and its ordering pass runs about 80×
+/// faster than exact minimum degree's, near-linear even on the `(N+1)·n`
+/// Galerkin-augmented companion matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrderingChoice {
-    /// Keep the natural (input) order.
+    /// Keep the natural (input) order: the identity reference.
     Natural,
-    /// Reverse Cuthill–McKee — fast banded ordering for mesh-like power
-    /// grids. Cheapest analysis, but several times more factor fill than
-    /// AMD on large meshes.
-    ReverseCuthillMckee,
-    /// Greedy minimum degree with explicit clique updates — the exact
-    /// fill-quality reference that AMD approximates. Its ordering pass is
-    /// super-linear; prefer the default unless auditing fill quality.
-    MinimumDegree,
     /// Approximate minimum degree (the measured default, see above):
     /// quotient-graph elimination with element absorption and supervariable
     /// merging, [`ordering::approximate_minimum_degree`].
@@ -113,9 +103,9 @@ impl SymbolicCholesky {
     ///
     /// # Example
     ///
-    /// AMD (the default) never produces more fill than RCM on the mesh-like
-    /// matrices this workspace factors; an explicit choice makes the
-    /// trade-off observable:
+    /// AMD (the default) produces far less fill than the natural order on
+    /// the mesh-like matrices this workspace factors; an explicit choice
+    /// makes the trade-off observable:
     ///
     /// ```
     /// use opera_sparse::{OrderingChoice, SymbolicCholesky, TripletMatrix};
@@ -137,9 +127,9 @@ impl SymbolicCholesky {
     /// }
     /// let a = t.to_csr();
     /// let amd = SymbolicCholesky::analyze_with(&a, OrderingChoice::ApproximateMinimumDegree)?;
-    /// let rcm = SymbolicCholesky::analyze_with(&a, OrderingChoice::ReverseCuthillMckee)?;
+    /// let natural = SymbolicCholesky::analyze_with(&a, OrderingChoice::Natural)?;
     /// assert_eq!(amd.ordering(), OrderingChoice::default());
-    /// assert!(amd.nnz_l() <= rcm.nnz_l());
+    /// assert!(amd.nnz_l() <= natural.nnz_l());
     /// # Ok(())
     /// # }
     /// ```
@@ -337,8 +327,6 @@ fn permute_for_cholesky(
     let a_csc = a.to_csc();
     let perm = match ordering_choice {
         OrderingChoice::Natural => Permutation::identity(a.nrows()),
-        OrderingChoice::ReverseCuthillMckee => ordering::reverse_cuthill_mckee(&a_csc),
-        OrderingChoice::MinimumDegree => ordering::minimum_degree(&a_csc),
         OrderingChoice::ApproximateMinimumDegree => ordering::approximate_minimum_degree(&a_csc),
     };
     let a_perm = a_csc.permute_symmetric(&perm)?;
@@ -714,8 +702,6 @@ mod tests {
         let b: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.37).sin()).collect();
         for ord in [
             OrderingChoice::Natural,
-            OrderingChoice::ReverseCuthillMckee,
-            OrderingChoice::MinimumDegree,
             OrderingChoice::ApproximateMinimumDegree,
         ] {
             let chol = CholeskyFactor::factor_with(&a, ord).unwrap();

@@ -8,9 +8,9 @@
 //! * [`TripletMatrix`] — coordinate-format builder for assembling stamps.
 //! * [`CsrMatrix`] / [`CscMatrix`] — compressed row/column storage with the
 //!   usual kernels (mat-vec, transpose, add, scale, pattern queries).
-//! * [`Permutation`], [`ordering`] — fill-reducing orderings: quotient-graph
-//!   approximate minimum degree (the default), reverse Cuthill–McKee, and
-//!   exact greedy minimum degree.
+//! * [`Permutation`], [`ordering`] — the fill-reducing ordering:
+//!   quotient-graph approximate minimum degree (the default; the natural
+//!   order is the identity reference).
 //! * [`CholeskyFactor`] / [`SymbolicCholesky`] / [`Supernodes`] — sparse
 //!   `L·Lᵀ` factorisation: symbolic analysis via the elimination tree
 //!   (including the full factor pattern and its fundamental-supernode

@@ -1,22 +1,18 @@
-//! Fill-reducing and bandwidth-reducing node orderings.
+//! Fill-reducing node ordering.
 //!
 //! Power-grid conductance matrices are essentially 2-D mesh Laplacians.
-//! Three ordering families are provided:
+//! [`approximate_minimum_degree`] — AMD on a quotient graph with element
+//! absorption, supernode (indistinguishable-node) merging and approximate
+//! external degrees — gives minimum-degree-quality fill in near-linear time
+//! and is the workspace default ([`crate::OrderingChoice::default`]); the
+//! natural order ([`crate::OrderingChoice::Natural`]) is the identity
+//! reference.
 //!
-//! * [`approximate_minimum_degree`] — AMD on a quotient graph with element
-//!   absorption, supernode (indistinguishable-node) merging and approximate
-//!   external degrees. Minimum-degree-quality fill in near-linear time; the
-//!   workspace default ([`crate::OrderingChoice::default`]).
-//! * [`reverse_cuthill_mckee`] — RCM keeps the factor band small and is
-//!   linear in the number of nonzeros, but on large meshes its banded factor
-//!   carries several times more fill than AMD's.
-//! * [`minimum_degree`] — the textbook greedy algorithm with explicit clique
-//!   updates. Exact external degrees, but the clique insertion makes the
-//!   ordering pass super-linear; kept as the fill-quality reference that AMD
-//!   is measured against.
-//!
-//! The AMD/RCM trade-off is measured by `perf_report`'s `orderings` section
-//! and documented in `docs/SPARSE.md` and `docs/PERFORMANCE.md`.
+//! AMD replaced reverse Cuthill–McKee (a banded ordering with about 4× more
+//! fill on the paper-grid companion) and an exact greedy minimum-degree pass
+//! (about 80× slower to analyse). The measurements are recorded in
+//! `BENCH_6.json` and `docs/PERFORMANCE.md` §4; the fill tests below pin AMD
+//! against the fill those orderings produced.
 
 use crate::{CscMatrix, Permutation};
 
@@ -40,107 +36,6 @@ fn adjacency(a: &CscMatrix) -> Vec<Vec<usize>> {
         list.dedup();
     }
     adj
-}
-
-/// Computes a reverse Cuthill–McKee ordering of the symmetric pattern of `a`.
-///
-/// The returned permutation `p` is meant to be used as a symmetric
-/// permutation `P·A·Pᵀ` via [`CscMatrix::permute_symmetric`]; `p.get(i)` is
-/// the original node placed at position `i`.
-///
-/// # Example
-///
-/// ```
-/// use opera_sparse::{TripletMatrix, ordering};
-///
-/// // 1-D chain 0-1-2-3: already banded, RCM returns some valid permutation.
-/// let mut t = TripletMatrix::new(4, 4);
-/// for i in 0..3 {
-///     t.add_symmetric_pair(i, i + 1, 1.0);
-/// }
-/// let p = ordering::reverse_cuthill_mckee(&t.to_csc());
-/// assert_eq!(p.len(), 4);
-/// ```
-pub fn reverse_cuthill_mckee(a: &CscMatrix) -> Permutation {
-    let n = a.ncols();
-    let adj = adjacency(a);
-    let degree: Vec<usize> = adj.iter().map(|l| l.len()).collect();
-    let mut visited = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-
-    // Process every connected component, starting each BFS from a node of
-    // minimal degree (a pseudo-peripheral heuristic good enough for meshes).
-    let mut nodes_by_degree: Vec<usize> = (0..n).collect();
-    nodes_by_degree.sort_unstable_by_key(|&i| degree[i]);
-
-    for &start in &nodes_by_degree {
-        if visited[start] {
-            continue;
-        }
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            let mut neighbours: Vec<usize> =
-                adj[u].iter().copied().filter(|&v| !visited[v]).collect();
-            neighbours.sort_unstable_by_key(|&v| degree[v]);
-            for v in neighbours {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order.reverse();
-    // lint: allow(L001, BFS visits every vertex of every component exactly once)
-    Permutation::from_vec(order).expect("RCM produces a valid permutation")
-}
-
-/// Computes a greedy minimum-degree ordering of the symmetric pattern of `a`.
-///
-/// At each step the node with the currently smallest degree is eliminated and
-/// its neighbours are pairwise connected (clique update). This is the textbook
-/// minimum-degree algorithm without supernodes or multiple elimination; it is
-/// intended for moderately sized matrices (up to a few tens of thousands of
-/// nodes) where its fill reduction pays for the ordering time.
-pub fn minimum_degree(a: &CscMatrix) -> Permutation {
-    let n = a.ncols();
-    let mut adj: Vec<std::collections::BTreeSet<usize>> = adjacency(a)
-        .into_iter()
-        .map(|l| l.into_iter().collect())
-        .collect();
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-
-    for _ in 0..n {
-        // Pick the non-eliminated node with minimum current degree.
-        let mut best = usize::MAX;
-        let mut best_deg = usize::MAX;
-        for v in 0..n {
-            if !eliminated[v] && adj[v].len() < best_deg {
-                best_deg = adj[v].len();
-                best = v;
-            }
-        }
-        let v = best;
-        eliminated[v] = true;
-        order.push(v);
-        // Connect the remaining neighbours of v into a clique and remove v.
-        let neighbours: Vec<usize> = adj[v].iter().copied().filter(|&u| !eliminated[u]).collect();
-        for &u in &neighbours {
-            adj[u].remove(&v);
-        }
-        for i in 0..neighbours.len() {
-            for j in (i + 1)..neighbours.len() {
-                let (a_, b_) = (neighbours[i], neighbours[j]);
-                adj[a_].insert(b_);
-                adj[b_].insert(a_);
-            }
-        }
-        adj[v].clear();
-    }
-    // lint: allow(L001, the elimination loop pushes each vertex exactly once)
-    Permutation::from_vec(order).expect("minimum degree produces a valid permutation")
 }
 
 /// Doubly linked degree buckets used by the AMD pivot selection: bucket `d`
@@ -215,7 +110,7 @@ enum NodeState {
 ///
 /// This is the Amestoy–Davis–Duff algorithm on a **quotient graph**: instead
 /// of inserting explicit clique edges after each elimination (the quadratic
-/// cost of [`minimum_degree`]), each eliminated pivot becomes an *element*
+/// cost of exact minimum degree), each eliminated pivot becomes an *element*
 /// that represents its clique implicitly, elements wholly covered by a newer
 /// element are **absorbed** (including aggressive absorption of elements
 /// whose variables all lie in the new pivot's neighbourhood), variables with
@@ -226,11 +121,12 @@ enum NodeState {
 /// whose `|Lₑ∖Lk|` terms are computed for all affected elements in one pass.
 /// The result is minimum-degree-quality fill at near-linear ordering cost —
 /// ordering the 115 k-unknown Galerkin-augmented companion takes well under a
-/// second where [`minimum_degree`] needs minutes (`docs/PERFORMANCE.md` §4).
+/// second where exact minimum degree needed minutes (`docs/PERFORMANCE.md`
+/// §4).
 ///
-/// The returned permutation follows the [`reverse_cuthill_mckee`] convention:
-/// `p.get(i)` is the original node placed at elimination position `i`, to be
-/// applied as `P·A·Pᵀ` via [`CscMatrix::permute_symmetric`].
+/// `p.get(i)` of the returned permutation is the original node placed at
+/// elimination position `i`, to be applied as `P·A·Pᵀ` via
+/// [`CscMatrix::permute_symmetric`].
 ///
 /// # Example
 ///
@@ -477,19 +373,6 @@ pub fn approximate_minimum_degree(a: &CscMatrix) -> Permutation {
     Permutation::from_vec(order).expect("AMD produces a valid permutation")
 }
 
-/// Bandwidth of the symmetric pattern of `a` (maximum `|i - j|` over stored
-/// entries). Useful to check that RCM actually reduced the band.
-pub fn bandwidth(a: &CscMatrix) -> usize {
-    let mut bw = 0usize;
-    for j in 0..a.ncols() {
-        let (rows, _) = a.col(j);
-        for &i in rows {
-            bw = bw.max(i.abs_diff(j));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,60 +395,6 @@ mod tests {
             }
         }
         t.to_csc()
-    }
-
-    #[test]
-    fn rcm_is_a_permutation_and_reduces_bandwidth() {
-        let a = grid_matrix(8, 8);
-        let p = reverse_cuthill_mckee(&a);
-        assert_eq!(p.len(), 64);
-        let permuted = a.permute_symmetric(&p).unwrap();
-        // On an 8x8 grid with natural ordering, the bandwidth is 8; RCM should
-        // not make it dramatically worse (it typically keeps it at ~8).
-        assert!(bandwidth(&permuted) <= bandwidth(&a) + 2);
-    }
-
-    #[test]
-    fn rcm_handles_disconnected_components() {
-        // Two disjoint edges: 0-1 and 2-3, plus an isolated node 4.
-        let mut t = TripletMatrix::new(5, 5);
-        t.add_symmetric_pair(0, 1, 1.0);
-        t.add_symmetric_pair(2, 3, 1.0);
-        t.push(4, 4, 1.0);
-        let p = reverse_cuthill_mckee(&t.to_csc());
-        assert_eq!(p.len(), 5);
-        // All nodes must appear exactly once (from_vec validates this).
-    }
-
-    #[test]
-    fn minimum_degree_is_a_permutation() {
-        let a = grid_matrix(5, 5);
-        let p = minimum_degree(&a);
-        assert_eq!(p.len(), 25);
-    }
-
-    #[test]
-    fn minimum_degree_orders_leaves_of_a_star_first() {
-        // Star graph: node 0 connected to 1..5. Minimum degree must eliminate
-        // several leaves (degree 1) before it can touch the hub (degree 5);
-        // the hub only becomes eligible once its degree has dropped to the
-        // minimum, i.e. it cannot be among the first four eliminations.
-        let mut t = TripletMatrix::new(6, 6);
-        for i in 1..6 {
-            t.add_symmetric_pair(0, i, 1.0);
-        }
-        let p = minimum_degree(&t.to_csc());
-        assert!(
-            p.position_of(0) >= 4,
-            "hub eliminated too early (position {})",
-            p.position_of(0)
-        );
-    }
-
-    #[test]
-    fn bandwidth_of_diagonal_matrix_is_zero() {
-        let a = CscMatrix::identity(10);
-        assert_eq!(bandwidth(&a), 0);
     }
 
     /// Cholesky factor nonzeros of `P·A·Pᵀ`, from the elimination tree's
@@ -614,10 +443,11 @@ mod tests {
 
     #[test]
     fn amd_fill_is_no_worse_than_rcm_on_grids() {
-        for (nx, ny) in [(8, 8), (16, 16), (20, 11)] {
+        // Reverse Cuthill–McKee's fill on the same grids, recorded from the
+        // RCM implementation at commit db732d0 before it was removed.
+        for (nx, ny, rcm_fill) in [(8, 8, 428), (16, 16, 3096), (20, 11, 2244)] {
             let a = grid_matrix(nx, ny);
             let amd_fill = cholesky_fill(&a, &approximate_minimum_degree(&a));
-            let rcm_fill = cholesky_fill(&a, &reverse_cuthill_mckee(&a));
             assert!(
                 amd_fill <= rcm_fill,
                 "{nx}x{ny} grid: AMD fill {amd_fill} > RCM fill {rcm_fill}"
@@ -628,13 +458,15 @@ mod tests {
     #[test]
     fn amd_fill_is_close_to_exact_minimum_degree() {
         // The approximation must stay within a modest factor of the exact
-        // greedy algorithm it replaces; on small meshes they are near-equal.
+        // greedy algorithm it replaced; on small meshes they are near-equal.
+        // Exact minimum degree's fill on this grid, recorded at commit
+        // db732d0 before that ordering was removed.
+        const MD_FILL_12X12: usize = 1026;
         let a = grid_matrix(12, 12);
         let amd_fill = cholesky_fill(&a, &approximate_minimum_degree(&a));
-        let md_fill = cholesky_fill(&a, &minimum_degree(&a));
         assert!(
-            (amd_fill as f64) <= 1.25 * (md_fill as f64),
-            "AMD fill {amd_fill} vs exact minimum-degree fill {md_fill}"
+            (amd_fill as f64) <= 1.25 * (MD_FILL_12X12 as f64),
+            "AMD fill {amd_fill} vs exact minimum-degree fill {MD_FILL_12X12}"
         );
     }
 

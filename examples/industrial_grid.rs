@@ -16,7 +16,6 @@
 //! full size (19,181 nodes) — expect a long Monte Carlo run.
 
 use opera::engine::{OperaEngine, Scenario};
-use opera::solver::BLOCK_JACOBI_CG;
 use opera_grid::GridSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -35,7 +34,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let engine = OperaEngine::for_grid(spec)?
-        .solver_name(BLOCK_JACOBI_CG)?
         .mc_samples(samples)
         .mc_seed(42 + row as u64)
         .build()?;

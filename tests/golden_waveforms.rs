@@ -26,6 +26,14 @@ use opera::solver::{BLOCK_JACOBI_CG, DIRECT_CHOLESKY};
 use opera::transient::{solve_transient, IntegrationMethod, TransientOptions, TransientSolution};
 use opera_sparse::{CsrMatrix, TripletMatrix};
 
+/// Trace counters are process-global, so a sibling test factoring while
+/// `golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine`
+/// has tracing enabled would add to its counts: every test here holds the
+/// trace test guard.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    opera_trace::test_guard()
+}
+
 fn fixture(name: &str) -> String {
     format!(
         "{}/tests/fixtures/golden/{name}",
@@ -71,6 +79,7 @@ fn smooth_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn smooth_rc_charging_meets_per_method_error_budgets() {
+    let _guard = serial();
     let (g, c) = diag_circuit(&[1.0], &[1.0]);
     // (method, max-error budget over the grid). h = 0.05 on τ = 1 separates
     // the O(h) scheme from the O(h²) schemes by two decades.
@@ -184,6 +193,7 @@ fn stiff_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn stiff_rc_pair_meets_per_method_error_budgets() {
+    let _guard = serial();
     let (g, c) = stiff_circuit();
     let cases = [
         (IntegrationMethod::BackwardEuler, 2e-3),
@@ -207,6 +217,7 @@ fn stiff_rc_pair_meets_per_method_error_budgets() {
 
 #[test]
 fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_stiff_pair() {
+    let _guard = serial();
     let (g, c) = stiff_circuit();
     let options = TransientOptions {
         time_step: 0.005,
@@ -305,6 +316,7 @@ fn pulse_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn pulse_edge_meets_per_method_error_budgets() {
+    let _guard = serial();
     let (g, c) = diag_circuit(&[PULSE_G], &[PULSE_C]);
     let cases = [
         (IntegrationMethod::BackwardEuler, 3e-2),
@@ -328,6 +340,7 @@ fn pulse_edge_meets_per_method_error_budgets() {
 
 #[test]
 fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_pulse_edge() {
+    let _guard = serial();
     let (g, c) = diag_circuit(&[PULSE_G], &[PULSE_C]);
     let options = TransientOptions {
         time_step: PULSE_FIXED_STEP,
@@ -360,7 +373,7 @@ fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_pulse_edge() {
 
 #[test]
 fn golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine() {
-    let _guard = opera_trace::test_guard();
+    let _guard = serial();
     // The direct backend's family analyses the augmented companion pattern,
     // the CG backend's family the nominal one: once per engine either way.
     let decks = ["stiff_rc.sp", "pulse_edge.sp"];
@@ -427,6 +440,7 @@ fn golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine() {
 
 #[test]
 fn adaptive_engine_matches_fixed_step_means_on_the_golden_decks() {
+    let _guard = serial();
     for deck in ["stiff_rc.sp", "pulse_edge.sp"] {
         let fixed = OperaEngine::for_netlist(fixture(deck))
             .unwrap()

@@ -29,7 +29,7 @@ fn small_engine(solver: &str) -> OperaEngine {
 /// built-in backend (CG borrows its iteration vectors from the workspace).
 #[test]
 fn steady_state_transient_steps_allocate_nothing() {
-    for solver in ["direct-cholesky", "left-looking-lu", "block-jacobi-cg"] {
+    for solver in ["direct-cholesky", "block-jacobi-cg"] {
         let engine = small_engine(solver);
         assert_eq!(
             engine.steady_state_step_allocations().unwrap(),
